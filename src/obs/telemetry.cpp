@@ -629,12 +629,16 @@ void LocalTelemetry::thread_main() {
 }
 
 void LocalTelemetry::sample_once(std::uint64_t now_ns) {
-  std::vector<TelemetryFrame> frames = frames_from_registry(num_nodes_, seq_, now_ns);
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard lock(mutex_);
+    seq = seq_++;
+  }
+  std::vector<TelemetryFrame> frames = frames_from_registry(num_nodes_, seq, now_ns);
   for (TelemetryFrame& f : frames) hub_.add(std::move(f), now_ns);
   std::vector<HealthEvent> events;
   {
     std::lock_guard lock(mutex_);
-    ++seq_;
     events = watchdog_.poll(hub_, now_ns);
     for (const HealthEvent& ev : events) events_.push_back(ev);
   }

@@ -251,7 +251,7 @@ class LocalTelemetry {
   Watchdog watchdog_;
   mutable std::mutex mutex_;
   std::vector<HealthEvent> events_;
-  std::uint64_t seq_ = 0;
+  std::uint64_t seq_ = 0;  ///< mutex_
   std::condition_variable cv_;
   bool stop_ = false;
   std::thread thread_;

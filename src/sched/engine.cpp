@@ -122,6 +122,10 @@ struct Engine::JobRun {
   std::uint64_t cross_before = 0;
   FaultSummary faults;                   ///< fault_mutex_
   std::vector<TraceEvent> trace;         ///< trace_mutex_
+  /// Readers still to finish per transient array (TaskGraph transient id):
+  /// at zero the array's blocks are dropped; producer re-runs re-arm them.
+  std::mutex reclaim_mutex;
+  std::vector<int> readers_left;         ///< reclaim_mutex
   std::atomic<bool> failed{false};
   std::exception_ptr error;              ///< jobs_mutex_
   bool retired = false;                  ///< jobs_mutex_
@@ -287,6 +291,7 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
   jr->weight = options.weight;
   jr->priority = options.priority;
   jr->graph = &graph;
+  jr->readers_left = graph.transient_readers();
   jr->stats_before = cluster_.total_stats();
   jr->cross_before =
       cluster_.transport() != nullptr ? cluster_.transport()->cross_node_bytes() : 0;
@@ -528,6 +533,9 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
   // Drop the partial staging: surviving read handles release their pins.
   ns.staged.erase(staged_key(jr->id, t));
   if (action == ExecutorCore::FaultAction::Retry) {
+    // The task is Assigned again: make sure a worker of this node stages it
+    // even if this drain ran after the node's last staging pass.
+    wakes.push_back(ns.node);
     if (ns.m_task_retries != nullptr) ns.m_task_retries->add();
     std::lock_guard flock(fault_mutex_);
     ++jr->faults.task_retries;
@@ -565,27 +573,79 @@ void Engine::handle_load_fault(NodeState& ns, const JobPtr& jr, TaskId t,
 void Engine::maybe_resurrect_producers(NodeState& ns, const JobPtr& jr, TaskId t,
                                        std::vector<int>& wakes) {
   const Task& task = jr->graph->task(t);
+  // One re-run decision at a time per job: the reader counts and the Done
+  // check of every producer in a chain must not move under us.
+  std::lock_guard lock(jr->reclaim_mutex);
   for (const auto& in : task.inputs) {
     const TaskId p = jr->graph->writer_of(in);
     if (p == kInvalidTask) continue;                       // pre-existing input
     if (jr->core->state(p) != TaskState::Done) continue;   // queued / rerunning / poisoned
     if (!block_lost(in)) continue;                         // still reachable: plain retry suffices
-    // Forget *every* output block of the producer, not just the lost one —
-    // the arrays are write-once, so a partial rewrite would trip
-    // immutability on the surviving blocks.
-    if (!forget_outputs(jr, p)) continue;  // some block still live → not actually lost
-    if (!jr->core->resurrect(p)) continue;
-    if (ns.m_producer_reruns != nullptr) ns.m_producer_reruns->add();
-    {
-      std::lock_guard flock(fault_mutex_);
-      ++jr->faults.producer_reruns;
-    }
+    if (!rerun_producer(ns, *jr, p, wakes)) continue;
     DOOC_LOG(Warn, "engine") << "re-running task " << p << " to re-derive lost block(s) of '"
                              << in.array << "'";
-    if (obs::trace_enabled()) {
-      obs::emit_instant(obs::intern("fault"), obs::intern("producer-rerun"), jr->assignment[p], 0);
+  }
+}
+
+bool Engine::rerun_producer(NodeState& ns, JobRun& jr, TaskId p, std::vector<int>& wakes) {
+  // Hold p's not-yet-reading successors first: one staged between the
+  // forget and the rewrite would park a read where p is about to write.
+  if (!jr.core->hold_successors(p)) return false;  // already re-running
+  // Forget *every* output block of the producer, not just the lost one —
+  // the arrays are write-once, so a partial rewrite would trip
+  // immutability on the surviving blocks.
+  if (!forget_outputs(jr, p)) {
+    // Some block is still live (pinned / awaited): not actually lost.
+    std::vector<std::pair<int, TaskId>> released;
+    jr.core->release_successors(p, released);
+    for (const auto& [node, task] : released) wakes.push_back(node);
+    return false;
+  }
+  // The re-run reads its transient inputs again. One already reclaimed
+  // (its last reader finished) must be re-derived first, so re-run its
+  // writers too — recursively, down to inputs that pre-exist the graph.
+  // Writers are resurrected before p: p then waits for their re-runs.
+  const TaskGraph& graph = *jr.graph;
+  for (const std::uint32_t id : graph.transient_inputs(p)) {
+    if (jr.readers_left[id]++ != 0) continue;
+    const std::string& array = graph.transient_arrays()[id];
+    for (const TaskId w : graph.predecessors(p)) {
+      const auto& outs = graph.task(w).outputs;
+      const bool writes = std::any_of(outs.begin(), outs.end(),
+                                      [&](const storage::Interval& o) { return o.array == array; });
+      if (writes) rerun_producer(ns, jr, w, wakes);
     }
-    wakes.push_back(jr->assignment[p]);
+  }
+  const bool requeued = jr.core->resurrect(p);
+  DOOC_CHECK(requeued, "a held producer is Done and must re-queue");
+  if (ns.m_producer_reruns != nullptr) ns.m_producer_reruns->add();
+  {
+    std::lock_guard flock(fault_mutex_);
+    ++jr.faults.producer_reruns;
+  }
+  if (obs::trace_enabled()) {
+    obs::emit_instant(obs::intern("fault"), obs::intern("producer-rerun"), jr.assignment[p], 0);
+  }
+  wakes.push_back(jr.assignment[p]);
+  return true;
+}
+
+void Engine::release_transient_inputs(JobRun& jr, TaskId t) {
+  const std::vector<std::uint32_t>& ids = jr.graph->transient_inputs(t);
+  if (ids.empty()) return;
+  std::lock_guard lock(jr.reclaim_mutex);
+  for (const std::uint32_t id : ids) {
+    if (--jr.readers_left[id] != 0) continue;
+    // Last reader done: drop every copy cluster-wide. The catalog keeps the
+    // array's metadata, so a later lost-block check sees the blocks as
+    // lost (re-derivable), not as an unknown array. A busy block is
+    // refused and stays until the array is deleted.
+    const std::string& array = jr.graph->transient_arrays()[id];
+    const std::optional<storage::ArrayMeta> meta = cluster_.catalog().shard_for(array).find(array);
+    if (!meta) continue;
+    for (std::uint64_t b = 0; b < meta->num_blocks(); ++b) {
+      cluster_.forget_block(storage::BlockKey{array, b});
+    }
   }
 }
 
@@ -607,8 +667,8 @@ bool Engine::block_lost(const storage::Interval& in) const {
   return true;
 }
 
-bool Engine::forget_outputs(const JobPtr& jr, TaskId p) {
-  const Task& task = jr->graph->task(p);
+bool Engine::forget_outputs(const JobRun& jr, TaskId p) {
+  const Task& task = jr.graph->task(p);
   for (const auto& out : task.outputs) {
     auto& shard = cluster_.catalog().shard_for(out.array);
     const std::optional<storage::ArrayMeta> meta = shard.find(out.array);
@@ -623,7 +683,7 @@ bool Engine::forget_outputs(const JobPtr& jr, TaskId p) {
       // point).
       if (!cluster_.forget_block(storage::BlockKey{out.array, b})) return false;
       if (obs::trace_enabled()) {
-        obs::emit_instant(obs::intern("replication"), obs::intern("invalidate"), jr->assignment[p],
+        obs::emit_instant(obs::intern("replication"), obs::intern("invalidate"), jr.assignment[p],
                           static_cast<int>(b));
       }
     }
@@ -870,6 +930,9 @@ void Engine::complete(const JobPtr& jr, TaskId t) {
     NodeState& owner = *node_states_[static_cast<std::size_t>(jr->assignment[t])];
     if (owner.m_tasks_exec != nullptr) owner.m_tasks_exec->add();
   }
+  // execute() already released the task's handles, so its last-read
+  // transient inputs are unpinned and can go before its successors start.
+  release_transient_inputs(*jr, t);
   std::vector<std::pair<int, TaskId>> newly_assigned;
   jr->core->finish(t, newly_assigned);
   if (jr->core->all_settled()) {
@@ -963,15 +1026,21 @@ void Engine::retire_job(const JobPtr& jr) {
   {
     std::lock_guard lock(jobs_mutex_);
     jr->report = std::move(report);
-    jr->done = true;
     const auto tag16 = static_cast<std::uint16_t>(jr->id & 0xFFFF);
     auto it = jobs_by_tag_.find(tag16);
     if (it != jobs_by_tag_.end() && it->second == jr) jobs_by_tag_.erase(it);
     ++jobs_version_;
     cb = on_job_done_;
   }
-  jobs_cv_.notify_all();
+  // The on-done callback runs before awaiters are released: once await()
+  // returns, the engine no longer calls into the awaiting side (e.g. a
+  // JobManager about to be destroyed, or one whose counters are checked).
   if (cb) cb(jr->id);
+  {
+    std::lock_guard lock(jobs_mutex_);
+    jr->done = true;
+  }
+  jobs_cv_.notify_all();
 }
 
 void Engine::worker_loop(NodeState& ns, int slot) {

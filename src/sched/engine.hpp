@@ -23,6 +23,11 @@
 // compute — the prefetch window is simply how many tasks may park with
 // loads in flight.
 //
+// Intermediates are released as the graph goes: once the last task reading
+// a transient array (TaskGraph::mark_transient) completes, its blocks are
+// dropped on every node — the paper's explicit release, for data eviction
+// cannot take because it was never made durable (§III-B).
+//
 // EngineConfig::blocking_io retains the pre-completion-driven behaviour
 // (workers block on future::get(), prefetch as a bolt-on pass) as the
 // --blocking-io ablation baseline.
@@ -182,8 +187,9 @@ class Engine {
   /// Pre-allocate a job id (for callers that queue jobs before submitting
   /// them, so the id — and its array-namespace prefix — exists up front).
   std::uint32_t reserve_job_id();
-  /// Callback fired (outside all engine locks, on a worker thread) when a
-  /// job settles. The jobs layer uses it to pump its admission queue.
+  /// Callback fired (outside all engine locks) when a job settles, before
+  /// its await() returns. The jobs layer uses it to pump its admission
+  /// queue.
   void set_on_job_done(std::function<void(std::uint32_t)> cb);
 
   /// Single-job convenience: submit + await. With one live job the
@@ -228,10 +234,18 @@ class Engine {
   /// are genuinely lost (no live holder, no durable copy). ns.mutex held.
   void maybe_resurrect_producers(NodeState& ns, const JobPtr& jr, TaskId t,
                                  std::vector<int>& wakes);
+  /// Re-run Done task `p`: forget its outputs, re-arm its transient inputs'
+  /// reader counts and, for inputs already reclaimed, re-run their writers
+  /// first (recursively). False when `p` is not Done or an output is still
+  /// live. ns.mutex and jr.reclaim_mutex held.
+  bool rerun_producer(NodeState& ns, JobRun& jr, TaskId p, std::vector<int>& wakes);
   [[nodiscard]] bool block_lost(const storage::Interval& in) const;
   /// Purge every output block of `p` cluster-wide so a re-run may rewrite
   /// them; false when some block is still live (pinned / awaited).
-  bool forget_outputs(const JobPtr& jr, TaskId p);
+  bool forget_outputs(const JobRun& jr, TaskId p);
+  /// Task `t` finished reading: count down its transient inputs and drop
+  /// the blocks of every array whose last reader this was. No locks held.
+  void release_transient_inputs(JobRun& jr, TaskId t);
   /// Bump + notify each listed node's wake counter, then clear the list.
   /// Must be called with no ns.mutex held.
   void notify_nodes(std::vector<int>& nodes);
@@ -245,8 +259,9 @@ class Engine {
   /// (blocking-io compatibility pass). ns.mutex held.
   void prefetch_blocking_locked(NodeState& ns, JobRun& jr);
   void execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* staged);
-  /// finish() on the job's core, wake nodes that gained work, retire the
-  /// job if that settled it. No locks held on entry.
+  /// Release the task's transient inputs, finish() it on the job's core,
+  /// wake nodes that gained work, retire the job if that settled it. No
+  /// locks held on entry.
   void complete(const JobPtr& jr, TaskId t);
   /// Fail the whole job (task body threw, or a storage error in plan-less
   /// mode): record the error, drop its staged inputs on every node, settle

@@ -43,6 +43,7 @@ ExecutorCore::ExecutorCore(const TaskGraph& graph, std::vector<int> assignment, 
   missing_.assign(graph.size(), 0);
   retries_.assign(graph.size(), 0);
   rerun_.assign(graph.size(), 0);
+  waiters_.assign(graph.size(), {});
   nodes_.resize(static_cast<std::size_t>(num_nodes));
   for (TaskId t = 0; t < graph.size(); ++t) {
     deps_[t] = static_cast<int>(graph.predecessors(t).size());
@@ -318,8 +319,10 @@ void ExecutorCore::finish(TaskId t, std::vector<std::pair<int, TaskId>>& newly_a
   ++completed_;
   if (rerun_[t] != 0) {
     // Resurrected producer: its successors' dependencies were decremented on
-    // the first run; only the rewritten blocks matter this time.
+    // the first run; only the tasks held back for its rewritten blocks are
+    // released this time.
     rerun_[t] = 0;
+    release_waiters_locked(t, newly_assigned);
     return;
   }
   for (TaskId s : graph_->successors(t)) {
@@ -339,8 +342,13 @@ ExecutorCore::FaultAction ExecutorCore::fault(TaskId t, std::vector<TaskId>* poi
   erase_value(nq.pending, t);
   missing_[t] = 0;
   if (++retries_[t] <= config_.max_task_retries) {
-    states_[t] = TaskState::Assigned;
-    nq.assigned.push_back(t);
+    // A producer re-running to re-derive a lost input (resurrect) is waited
+    // for: re-staged now, the task would only park a read on a block still
+    // being rewritten — and hold a window slot the re-run may need.
+    if (!wait_for_reruns_locked(t)) {
+      states_[t] = TaskState::Assigned;
+      nq.assigned.push_back(t);
+    }
     return FaultAction::Retry;
   }
   poison_locked(t, poisoned);
@@ -366,13 +374,65 @@ void ExecutorCore::poison_locked(TaskId t, std::vector<TaskId>* poisoned) {
   }
 }
 
+bool ExecutorCore::hold_successors(TaskId t) {
+  std::lock_guard lock(mutex_);
+  if (states_[t] != TaskState::Done) return false;
+  for (TaskId s : graph_->successors(t)) {
+    if (states_[s] == TaskState::Assigned) {
+      erase_value(nodes_[static_cast<std::size_t>(assignment_[s])].assigned, s);
+      states_[s] = TaskState::Waiting;
+    } else if (states_[s] != TaskState::Waiting) {
+      continue;  // already reading (or done reading) t's current blocks
+    }
+    ++deps_[s];
+    waiters_[t].push_back(s);
+  }
+  return true;
+}
+
+void ExecutorCore::release_successors(TaskId t,
+                                      std::vector<std::pair<int, TaskId>>& newly_assigned) {
+  std::lock_guard lock(mutex_);
+  release_waiters_locked(t, newly_assigned);
+}
+
+void ExecutorCore::release_waiters_locked(TaskId t,
+                                          std::vector<std::pair<int, TaskId>>& newly_assigned) {
+  for (TaskId s : waiters_[t]) {
+    if (--deps_[s] == 0 && states_[s] == TaskState::Waiting) {
+      states_[s] = TaskState::Assigned;
+      const int node = assignment_[s];
+      nodes_[static_cast<std::size_t>(node)].assigned.push_back(s);
+      newly_assigned.emplace_back(node, s);
+    }
+  }
+  waiters_[t].clear();
+}
+
+bool ExecutorCore::wait_for_reruns_locked(TaskId t) {
+  // Only re-running tasks are not Done among the predecessors of a task
+  // that has already been staged once.
+  for (TaskId p : graph_->predecessors(t)) {
+    if (states_[p] == TaskState::Done) continue;
+    ++deps_[t];
+    waiters_[p].push_back(t);
+  }
+  if (deps_[t] == 0) return false;
+  states_[t] = TaskState::Waiting;
+  return true;
+}
+
 bool ExecutorCore::resurrect(TaskId t) {
   std::lock_guard lock(mutex_);
   if (states_[t] != TaskState::Done) return false;
   rerun_[t] = 1;
-  states_[t] = TaskState::Assigned;
   --completed_;
-  nodes_[static_cast<std::size_t>(assignment_[t])].assigned.push_back(t);
+  // A predecessor that is not Done is itself re-running (it was Done when
+  // t first ran): t must read that predecessor's rewritten output.
+  if (!wait_for_reruns_locked(t)) {
+    states_[t] = TaskState::Assigned;
+    nodes_[static_cast<std::size_t>(assignment_[t])].assigned.push_back(t);
+  }
   return true;
 }
 

@@ -154,13 +154,25 @@ class ExecutorCore {
     Poisoned,  ///< retry budget exhausted: task + transitive successors Faulted
   };
   /// Report a permanent input-load failure of a staged task. Retries move
-  /// the task back to Assigned up to max_task_retries times; past that the
-  /// task and every transitive successor become Faulted (appended to
-  /// `poisoned`, the failed task first).
+  /// the task back to Assigned (Waiting while a producer of its inputs
+  /// re-runs) up to max_task_retries times; past that the task and every
+  /// transitive successor become Faulted (appended to `poisoned`, the
+  /// failed task first).
   FaultAction fault(TaskId t, std::vector<TaskId>* poisoned);
-  /// Lost-block recovery: re-queue a Done producer so it re-derives its
-  /// write-once outputs. finish() of the re-run does NOT re-decrement
-  /// successor dependencies. False when the task is not currently Done.
+  /// Lost-block recovery, step 1: keep every successor of Done task `t`
+  /// that has not started reading its blocks (Waiting or Assigned) off the
+  /// queues until `t` re-runs, so no reader can request a block while it
+  /// is being forgotten and rewritten. False when `t` is not Done.
+  bool hold_successors(TaskId t);
+  /// Undo hold_successors (the re-run was called off); successors whose
+  /// last dependency this was are reported like finish() does.
+  void release_successors(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned);
+  /// Lost-block recovery, step 2: re-queue a Done producer so it re-derives
+  /// its write-once outputs. A producer whose predecessors are re-running
+  /// too waits (Waiting) until their re-runs finish, so resurrect a chain
+  /// writers-first. finish() of the re-run releases the held successors
+  /// and does NOT re-decrement first-run successor dependencies. False when
+  /// the task is not currently Done.
   bool resurrect(TaskId t);
 
  private:
@@ -185,6 +197,11 @@ class ExecutorCore {
   ResidencyProbe* probe_;
 
   void poison_locked(TaskId t, std::vector<TaskId>* poisoned);
+  /// Park task `t` (staged before, so every predecessor was Done) in
+  /// Waiting on its re-running predecessors; false when none re-runs.
+  bool wait_for_reruns_locked(TaskId t);
+  /// Decrement the dependencies of the tasks waiting on `t`'s re-run.
+  void release_waiters_locked(TaskId t, std::vector<std::pair<int, TaskId>>& newly_assigned);
 
   mutable std::mutex mutex_;
   std::vector<TaskState> states_;
@@ -192,8 +209,11 @@ class ExecutorCore {
   std::vector<int> missing_;
   std::vector<int> retries_;
   /// Task is a resurrected producer: its next finish() must not re-decrement
-  /// successor dependencies (they were counted on the first run).
+  /// first-run successor dependencies (they were counted on the first run).
   std::vector<std::uint8_t> rerun_;
+  /// Per re-running task: the tasks whose deps_ count it (held successors
+  /// and resurrected readers); its finish() releases them.
+  std::vector<std::vector<TaskId>> waiters_;
   std::vector<NodeQueues> nodes_;
   std::size_t completed_ = 0;
   std::size_t faulted_ = 0;

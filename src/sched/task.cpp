@@ -32,6 +32,12 @@ TaskId TaskGraph::writer_of(const storage::Interval& iv) const {
   return kInvalidTask;
 }
 
+void TaskGraph::mark_transient(const std::string& array) {
+  DOOC_REQUIRE(!built_, "cannot mark transient arrays after build()");
+  const auto id = static_cast<std::uint32_t>(transient_.size());
+  if (transient_ids_.emplace(array, id).second) transient_.push_back(array);
+}
+
 void TaskGraph::rename_arrays(const std::function<std::string(const std::string&)>& fn) {
   for (Task& t : tasks_) {
     for (auto& in : t.inputs) in.array = fn(in.array);
@@ -40,6 +46,11 @@ void TaskGraph::rename_arrays(const std::function<std::string(const std::string&
   for (auto& [array, records] : writers_) {
     array = fn(array);
     for (auto& r : records) r.iv.array = array;
+  }
+  transient_ids_.clear();
+  for (std::uint32_t id = 0; id < transient_.size(); ++id) {
+    transient_[id] = fn(transient_[id]);
+    transient_ids_.emplace(transient_[id], id);
   }
 }
 
@@ -68,6 +79,25 @@ void TaskGraph::build() {
       }
     }
     writers_.emplace_back(array, records);
+  }
+  for (const std::string& array : transient_) {
+    if (writers.find(array) == writers.end()) {
+      throw InvalidArgument("transient array '" + array + "' is not written by any task");
+    }
+  }
+
+  // Transient reader counts: distinct reading tasks per array.
+  transient_readers_.assign(transient_.size(), 0);
+  transient_inputs_.assign(n, {});
+  for (TaskId t = 0; t < n; ++t) {
+    auto& ids = transient_inputs_[t];
+    for (const auto& in : tasks_[t].inputs) {
+      const auto it = transient_ids_.find(in.array);
+      if (it != transient_ids_.end()) ids.push_back(it->second);
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (const std::uint32_t id : ids) ++transient_readers_[id];
   }
 
   // Derive edges: reader depends on every writer its interval overlaps.

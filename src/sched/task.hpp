@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/types.hpp"
@@ -67,10 +68,33 @@ class TaskGraph {
 
   [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
 
-  /// Rewrite every array name in the graph (task inputs/outputs and the
-  /// derived writer index) through `fn`. Interval geometry and edges are
-  /// untouched — renaming is how the jobs layer namespaces a job's arrays
-  /// without rebuilding its graph. Works before or after build().
+  /// Declare `array` scratch: written by a task of this graph and needed by
+  /// nobody once the graph's readers of it have finished, so the engine may
+  /// drop its blocks right after its last reader completes (the paper's
+  /// explicit release, §III-B). Repeated marks are ignored. Call before
+  /// build(); build() rejects a transient array no task writes.
+  void mark_transient(const std::string& array);
+  /// Transient arrays in mark order; an array's position is its transient
+  /// id.
+  [[nodiscard]] const std::vector<std::string>& transient_arrays() const noexcept {
+    return transient_;
+  }
+  /// Per transient id: how many distinct tasks read the array (sync tasks
+  /// included). Valid after build().
+  [[nodiscard]] const std::vector<int>& transient_readers() const noexcept {
+    return transient_readers_;
+  }
+  /// Transient ids task `id` reads, each once however many intervals it
+  /// reads. Valid after build().
+  [[nodiscard]] const std::vector<std::uint32_t>& transient_inputs(TaskId id) const {
+    return transient_inputs_[id];
+  }
+
+  /// Rewrite every array name in the graph (task inputs/outputs, the
+  /// derived writer index and the transient set) through `fn`. Interval
+  /// geometry and edges are untouched — renaming is how the jobs layer
+  /// namespaces a job's arrays without rebuilding its graph. Works before
+  /// or after build().
   void rename_arrays(const std::function<std::string(const std::string&)>& fn);
 
  private:
@@ -80,6 +104,11 @@ class TaskGraph {
   std::vector<TaskId> topo_;
   std::size_t num_edges_ = 0;
   bool built_ = false;
+
+  std::vector<std::string> transient_;
+  std::unordered_map<std::string, std::uint32_t> transient_ids_;
+  std::vector<int> transient_readers_;
+  std::vector<std::vector<std::uint32_t>> transient_inputs_;
 
   struct WriteRecord {
     storage::Interval iv;

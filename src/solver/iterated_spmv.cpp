@@ -54,9 +54,9 @@ IteratedSpmv::IteratedSpmv(ArrayCreator& creator, const spmv::DeployedMatrix& ma
 }
 
 void IteratedSpmv::create_vector_array(const std::string& name, int home_node,
-                                       std::uint64_t bytes) {
+                                       std::uint64_t bytes, bool transient) {
   creator_->create(name, bytes, home_node);
-  created_arrays_.push_back(name);
+  if (transient) graph_.mark_transient(name);
 }
 
 void IteratedSpmv::build() {
@@ -174,7 +174,7 @@ void IteratedSpmv::build() {
       }
 
       const std::string result = BlockGrid::vector_name(base, i, u);
-      create_vector_array(result, matrix_.owner_of(u, 0), out_bytes);
+      create_vector_array(result, matrix_.owner_of(u, 0), out_bytes, /*transient=*/i < last);
       Task t;
       t.name = reduce_display(i, u);
       t.kind = "sum";
@@ -232,19 +232,9 @@ std::vector<double> IteratedSpmv::gather_result() {
 
 void IteratedSpmv::cleanup_intermediates() {
   DOOC_REQUIRE(cluster_ != nullptr, "cleanup_intermediates() requires the storage-backed mode");
-  for (const auto& name : created_arrays_) {
-    // Keep the final iterates; delete everything else.
-    bool is_final = false;
-    const int last = config_.first_iteration + config_.iterations - 1;
-    for (int u = 0; u < matrix_.grid.k(); ++u) {
-      if (name == BlockGrid::vector_name(config_.vector_base, last, u)) {
-        is_final = true;
-        break;
-      }
-    }
-    if (!is_final) cluster_->node(0).delete_array(name);
+  for (const std::string& name : graph_.transient_arrays()) {
+    if (cluster_->catalog().shard_for(name).find(name)) cluster_->node(0).delete_array(name);
   }
-  created_arrays_.clear();
 }
 
 std::string IteratedSpmv::command_list() const {

@@ -76,7 +76,10 @@ class IteratedSpmv {
   [[nodiscard]] std::vector<double> gather_result();
 
   /// Delete every intermediate array this driver created (partials,
-  /// aggregates, sync tokens and non-final iterates).
+  /// aggregates, sync tokens and non-final iterates — the graph's transient
+  /// set). The engine already dropped their blocks after their last
+  /// readers; this frees the names (and the data a failed run left
+  /// behind). Arrays already deleted are skipped.
   void cleanup_intermediates();
 
   /// The emitted command list, Fig. 3 style ("x_{0,0}^1 = A_{0,0} * x_0^0").
@@ -90,7 +93,10 @@ class IteratedSpmv {
 
  private:
   void build();
-  void create_vector_array(const std::string& name, int home_node, std::uint64_t bytes);
+  /// Create a vector array; every one but the final iterates is marked
+  /// transient, so the engine reclaims it after its last reader.
+  void create_vector_array(const std::string& name, int home_node, std::uint64_t bytes,
+                           bool transient = true);
 
   storage::StorageCluster* cluster_ = nullptr;  ///< null in graph-only mode
   std::unique_ptr<StorageArrayCreator> owned_creator_;
@@ -98,7 +104,6 @@ class IteratedSpmv {
   const spmv::DeployedMatrix& matrix_;
   IteratedSpmvConfig config_;
   sched::TaskGraph graph_;
-  std::vector<std::string> created_arrays_;
   double flops_per_iteration_ = 0.0;
 };
 

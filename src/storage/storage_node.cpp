@@ -813,11 +813,8 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
     block->read_waiters.clear();
     block->read_pins += static_cast<int>(waiters.size());
   }
-  for (auto& w : waiters) {
-    const Interval iv = w.iv;
-    deliver(std::move(w), ReadHandle(this, block, iv), nullptr);
-  }
   if (bypass && durable) {
+    // Transient copy: not registered as a replica holder.
     m_replica_bypass_->add();
     {
       std::lock_guard lock(stats_mutex_);
@@ -827,10 +824,17 @@ void StorageNode::install_payload(const ArrayMeta& meta, const BlockPtr& block, 
       obs::emit_instant(obs::intern("replication"), obs::intern("bypass"), id_,
                         static_cast<int>(block->key.block));
     }
-    return;  // transient copy: do not register as a replica holder
+  } else {
+    // Outside mutex_: note_holder may fire awaiter callbacks synchronously.
+    // Registered before the readers are served, so whoever saw this read
+    // complete also sees this node among the holders (replica caps count
+    // it).
+    catalog_->shard_for(meta.name).note_holder(block->key, id_);
   }
-  // Outside mutex_: note_holder may fire awaiter callbacks synchronously.
-  catalog_->shard_for(meta.name).note_holder(block->key, id_);
+  for (auto& w : waiters) {
+    const Interval iv = w.iv;
+    deliver(std::move(w), ReadHandle(this, block, iv), nullptr);
+  }
 }
 
 void StorageNode::fail_block(const BlockPtr& block, std::exception_ptr error) {
@@ -838,6 +842,9 @@ void StorageNode::fail_block(const BlockPtr& block, std::exception_ptr error) {
   {
     std::lock_guard lock(mutex_);
     release_budget_locked(block);
+    // A local writer adopted the placeholder (request_write): its readers
+    // are served when that write seals.
+    if (block->state != BlockState::Loading) return;
     waiters = std::move(block->read_waiters);
     block->read_waiters.clear();
     block->fetch_inflight = false;
@@ -906,24 +913,33 @@ std::future<WriteHandle> StorageNode::request_write(const Interval& iv) {
   std::lock_guard lock(mutex_);
   const BlockKey key{iv.array, b};
   auto it = blocks_.find(key);
-  BlockPtr block;
-  if (it == blocks_.end()) {
-    block = std::make_shared<Block>();
-    block->key = key;
-    block->bytes = meta.block_bytes(b);
-    block->block_start = b * meta.block_size;
+  BlockPtr block = it != blocks_.end() ? it->second : nullptr;
+  // A local reader may have asked first and parked waiting for the producer
+  // (e.g. a consumer staged while a re-run re-derives the block). Its
+  // placeholder becomes the write target: the readers are served when the
+  // write seals, and the parked fetch finds the block no longer Loading.
+  const bool adopt =
+      block != nullptr && block->state == BlockState::Loading && !produced_elsewhere(key);
+  if (block == nullptr || adopt) {
+    if (adopt) {
+      release_budget_locked(block);
+      block->fetch_inflight = false;
+      block->fetch_deferred = false;
+    } else {
+      block = std::make_shared<Block>();
+      block->key = key;
+      block->bytes = meta.block_bytes(b);
+      block->block_start = b * meta.block_size;
+      blocks_.emplace(key, block);
+    }
     block->state = BlockState::Writing;
     reclaim_locked(block->bytes);
     block->data = DataBuffer(block->bytes);
     std::fill(block->data.span().begin(), block->data.span().end(), std::byte{0});
     resident_bytes_ += block->bytes;
-    blocks_.emplace(key, block);
-  } else {
-    block = it->second;
-    if (block->state != BlockState::Writing || block->sealed) {
-      throw ImmutabilityViolation("array '" + iv.array + "' block " + std::to_string(b) +
-                                  " was already written (write-once violation)");
-    }
+  } else if (block->state != BlockState::Writing || block->sealed) {
+    throw ImmutabilityViolation("array '" + iv.array + "' block " + std::to_string(b) +
+                                " was already written (write-once violation)");
   }
   // Reject overlapping writes: each memory location is written only once.
   const std::uint64_t in_block_off = iv.offset - block->block_start;
@@ -938,6 +954,11 @@ std::future<WriteHandle> StorageNode::request_write(const Interval& iv) {
   ++block->write_pins;
   promise.set_value(WriteHandle(this, block, iv));
   return future;
+}
+
+bool StorageNode::produced_elsewhere(const BlockKey& key) const {
+  const BlockInfo info = catalog_->shard_for(key.array).block_info(key);
+  return info.durable || !info.holders.empty();
 }
 
 void StorageNode::release_write(const ArrayName& array, const BlockPtr& block) {

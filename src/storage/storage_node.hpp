@@ -15,7 +15,9 @@
 // Immutability contract: a block is written at most once (overlapping write
 // intervals throw ImmutabilityViolation), becomes *sealed* when its last
 // write handle is released, and is only readable once sealed. This is what
-// lets DOoC skip coherency protocols entirely.
+// lets DOoC skip coherency protocols entirely. A read may arrive before the
+// block is produced — on a peer or on this node — and simply waits for the
+// seal.
 //
 // Locking discipline: mutex_ orders before catalog-shard locks and before
 // peer mutexes. Peer RPCs and shard methods that fire callbacks
@@ -339,6 +341,10 @@ class StorageNode {
   /// that now fit. mutex_ held.
   void release_budget_locked(const BlockPtr& block);
   void drain_deferred_locked();
+  /// The catalog lists a holder or a durable copy of the block: it has
+  /// already been written somewhere. Callable under mutex_ (which orders
+  /// before the shard locks).
+  [[nodiscard]] bool produced_elsewhere(const BlockKey& key) const;
   /// Move a deferred block to the head of the queue (a demand read arrived
   /// for data that was only prefetch-priority so far). mutex_ held.
   void promote_deferred_locked(const BlockPtr& block);

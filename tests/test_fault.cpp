@@ -10,12 +10,15 @@
 //    Load node's demand-io;
 //  * sched::Engine: transient read errors absorbed bit-exactly by the I/O
 //    retry loop; permanent failures drain into a structured FaultSummary
-//    instead of aborting;
+//    instead of aborting; a `down=` outage loses a block whose producer's
+//    inputs were already reclaimed, and the re-run chain re-derives it
+//    bit-exactly;
 //  * storage: failover to the durable file when a block's home node is down;
 //  * SimEngine/testbed: the same plan replayed under virtual time — retries
 //    and a bounded one-node outage degrade makespan gracefully.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -30,6 +33,8 @@
 #include "sched/engine.hpp"
 #include "sched/executor_core.hpp"
 #include "simcluster/testbed.hpp"
+#include "solver/iterated_spmv.hpp"
+#include "spmv/generator.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -282,6 +287,88 @@ TEST(ExecutorCoreFault, ResurrectRerunsAProducerWithoutDoubleCountingDeps) {
   EXPECT_TRUE(core.all_done());
 }
 
+TEST(ExecutorCoreFault, ResurrectedChainRerunsWritersFirst) {
+  // a → b → c, all Done. b's input was already reclaimed, so re-running b
+  // re-runs a first: b must wait for a's re-run, not race it.
+  sched::TaskGraph g;
+  const sched::TaskId a = g.add(make_task("a", {}, {{"s", 0, 8}}));
+  const sched::TaskId b = g.add(make_task("b", {{"s", 0, 8}}, {{"m", 0, 8}}));
+  const sched::TaskId c = g.add(make_task("c", {{"m", 0, 8}}, {{"out", 0, 8}}));
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"s", "m"};
+  sched::ExecutorCore core(g, {0, 0, 0}, 1, {}, &probe);
+  std::vector<std::pair<int, sched::TaskId>> newly;
+  for (const sched::TaskId t : {a, b, c}) {
+    core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+    ASSERT_EQ(core.take_runnable(0), t);
+    core.finish(t, newly);
+  }
+  ASSERT_TRUE(core.all_done());
+
+  EXPECT_TRUE(core.resurrect(a));
+  EXPECT_TRUE(core.resurrect(b));
+  EXPECT_EQ(core.state(a), sched::TaskState::Assigned);
+  EXPECT_EQ(core.state(b), sched::TaskState::Waiting) << "b reads a's rewritten output";
+  EXPECT_EQ(core.backlog(0), 1u);
+
+  newly.clear();
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), a);
+  core.finish(a, newly);
+  ASSERT_EQ(newly.size(), 1u) << "a's re-run releases the re-running b only";
+  EXPECT_EQ(newly[0].second, b);
+  EXPECT_EQ(core.state(c), sched::TaskState::Done) << "first-run successors are untouched";
+
+  newly.clear();
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), b);
+  core.finish(b, newly);
+  EXPECT_TRUE(newly.empty());
+  EXPECT_TRUE(core.all_done());
+}
+
+TEST(ExecutorCoreFault, HeldSuccessorsWaitForTheRerun) {
+  // w → r: r is Assigned (about to read w's block) when w's block is lost.
+  sched::TaskGraph g;
+  const sched::TaskId w = g.add(make_task("w", {}, {{"s", 0, 8}}));
+  const sched::TaskId r = g.add(make_task("r", {{"s", 0, 8}}, {{"out", 0, 8}}));
+  g.build();
+  FakeProbe probe;
+  probe.resident = {"s"};
+  sched::ExecutorCore core(g, {0, 0}, 1, {}, &probe);
+  std::vector<std::pair<int, sched::TaskId>> newly;
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), w);
+  core.finish(w, newly);
+  ASSERT_EQ(core.state(r), sched::TaskState::Assigned);
+
+  EXPECT_FALSE(core.hold_successors(r)) << "only a Done task's successors can be held";
+  ASSERT_TRUE(core.hold_successors(w));
+  EXPECT_EQ(core.state(r), sched::TaskState::Waiting);
+  EXPECT_EQ(core.backlog(0), 0u) << "a held reader cannot be staged";
+
+  // Called off (the block turned out to be live): r goes straight back.
+  newly.clear();
+  core.release_successors(w, newly);
+  ASSERT_EQ(newly.size(), 1u);
+  EXPECT_EQ(core.state(r), sched::TaskState::Assigned);
+
+  // Held and re-run: r is released by the re-run's finish.
+  ASSERT_TRUE(core.hold_successors(w));
+  ASSERT_TRUE(core.resurrect(w));
+  newly.clear();
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), w);
+  core.finish(w, newly);
+  ASSERT_EQ(newly.size(), 1u);
+  EXPECT_EQ(newly[0].second, r);
+  core.stage(core.next_to_stage(0, sched::StageSelect::Resident).task, 0);
+  ASSERT_EQ(core.take_runnable(0), r);
+  core.finish(r, newly);
+  EXPECT_TRUE(core.all_done());
+}
+
 // ---------------------------------------------------------------------------
 // causal: the "fault" blame category
 // ---------------------------------------------------------------------------
@@ -448,6 +535,63 @@ TEST(EngineFault, PermanentFailureDrainsIntoAStructuredSummary) {
 
   auto v = node.request_read({"pf_ok", 0, 8}).get();
   EXPECT_EQ(v.as<std::uint64_t>()[0], 42u);
+}
+
+// ---------------------------------------------------------------------------
+// Engine: lost-block producer re-runs through reclaimed intermediates
+// ---------------------------------------------------------------------------
+
+struct DrillResult {
+  std::vector<double> x;
+  sched::FaultSummary faults;
+};
+
+/// A 2-node iterated SpMV (K = 2) where node 1 owns a single matrix block,
+/// A_{1,0}, and therefore multiplies x^{i}_{1,0} and reduces row 1 into
+/// x^{i}_1 — a block held in node 1's memory only and read exclusively by
+/// node 0. With a 1-byte budget every write on node 1 evicts A_{1,0}, so
+/// node 1 serves exactly one disk read per run of its multiply: that is the
+/// op clock a `down=1@...` outage runs on.
+DrillResult run_drill_solve(const std::string& faults) {
+  testutil::TempDir dir("fault_drill");
+  storage::StorageConfig cfg;
+  cfg.scratch_root = dir.str();
+  cfg.memory_budget = 1;
+  if (!faults.empty()) cfg.fault_plan = std::make_shared<FaultPlan>(FaultPlan::parse(faults));
+  storage::StorageCluster cluster(2, cfg);
+  spmv::CsrMatrix m = spmv::generate_uniform_gap(256, 256, 8.0, 77);
+  for (auto& v : m.values) v *= 0.1;
+  const spmv::BlockOwner owner = [](int u, int v) { return u == 1 && v == 0 ? 1 : 0; };
+  const auto deployed = spmv::deploy_matrix(cluster, m, 2, owner);
+  spmv::create_distributed_vector(cluster, deployed.grid, owner, "x", 0,
+                                  [](std::uint64_t i) { return 1.0 + 1e-3 * static_cast<double>(i); });
+  solver::IteratedSpmvConfig config;
+  config.iterations = 8;
+  solver::IteratedSpmv iterated(cluster, deployed, config);
+  sched::Engine engine(cluster, {});
+  const sched::Report report = engine.run(iterated.graph());
+  if (!report.faults.ok()) return {{}, report.faults};  // x^N was never written
+  return {iterated.gather_result(), report.faults};
+}
+
+TEST(EngineFault, LostBlockRerunsReclaimedProducersBitExactly) {
+  const DrillResult clean = run_drill_solve("");
+  ASSERT_TRUE(clean.faults.ok()) << clean.faults.to_text();
+
+  // Node 1 goes down right after its 4th disk read (its multiply of
+  // iteration 4), so node 0 cannot fetch x^4_1, and stays down for 2 more
+  // reads. Node 1 serves at most one more before it stalls on node 0, so
+  // only the re-runs' own reads bring it back. x^4_1's producer read partials that
+  // were reclaimed the moment it first finished: the re-run must re-derive
+  // the chain beneath it, reading A_{1,0} again.
+  const DrillResult drill = run_drill_solve("down=1@4+2");
+  ASSERT_TRUE(drill.faults.ok()) << drill.faults.to_text();
+  EXPECT_GE(drill.faults.load_faults, 1u);
+  EXPECT_GT(drill.faults.producer_reruns, 1u)
+      << "the lost block's producer re-ran alone: its reclaimed inputs were not re-derived";
+  ASSERT_EQ(drill.x.size(), clean.x.size());
+  EXPECT_EQ(std::memcmp(drill.x.data(), clean.x.data(), clean.x.size() * sizeof(double)), 0)
+      << "re-derived blocks must reproduce the fault-free result bit for bit";
 }
 
 // ---------------------------------------------------------------------------

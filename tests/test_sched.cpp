@@ -66,6 +66,61 @@ TEST(TaskGraph, WriterOfResolvesProducers) {
   EXPECT_EQ(g.writer_of({"y", 0, 10}), kInvalidTask);
 }
 
+TEST(TaskGraph, CountsDistinctReadersOfTransientArrays) {
+  TaskGraph g;
+  g.add(make_task("w", {}, {{"t", 0, 100}}));
+  g.add(make_task("u", {}, {{"keep", 0, 10}}));
+  // r1 reads t through two intervals: it is still one reader.
+  const TaskId r1 = g.add(make_task("r1", {{"t", 0, 50}, {"t", 50, 50}}, {{"a", 0, 8}}));
+  const TaskId r2 = g.add(make_task("r2", {{"t", 0, 10}, {"keep", 0, 10}}, {{"b", 0, 8}}));
+  const TaskId s = g.add(make_task("s", {{"a", 0, 8}, {"b", 0, 8}}, {{"tok", 0, 1}}));
+  g.task(s).kind = "sync";  // barriers never acquire inputs, yet still count
+  g.mark_transient("t");
+  g.mark_transient("a");
+  g.mark_transient("b");
+  g.mark_transient("t");  // repeated marks are ignored
+  g.build();
+
+  ASSERT_EQ(g.transient_arrays(), (std::vector<std::string>{"t", "a", "b"}));
+  EXPECT_EQ(g.transient_readers(), (std::vector<int>{2, 1, 1}));
+  EXPECT_EQ(g.transient_inputs(r1), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(g.transient_inputs(r2), (std::vector<std::uint32_t>{0}))
+      << "non-transient inputs are not listed";
+  EXPECT_EQ(g.transient_inputs(s), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(g.transient_inputs(0).empty());
+}
+
+TEST(TaskGraph, TransientArrayNeedsAWriter) {
+  TaskGraph g;
+  g.add(make_task("r", {{"input", 0, 8}}, {{"y", 0, 8}}));
+  g.mark_transient("input");  // pre-existing data must never be reclaimed
+  EXPECT_THROW(g.build(), InvalidArgument);
+}
+
+TEST(TaskGraph, RenameArraysCarriesTheTransientSet) {
+  TaskGraph g;
+  g.add(make_task("w", {}, {{"t", 0, 8}}));
+  const TaskId r = g.add(make_task("r", {{"t", 0, 8}}, {{"y", 0, 8}}));
+  g.mark_transient("t");
+  g.build();
+  g.rename_arrays([](const std::string& name) { return "j7." + name; });
+
+  EXPECT_EQ(g.transient_arrays(), (std::vector<std::string>{"j7.t"}));
+  EXPECT_EQ(g.transient_readers(), (std::vector<int>{1}));
+  EXPECT_EQ(g.transient_inputs(r), (std::vector<std::uint32_t>{0}));
+}
+
+TEST(TaskGraph, RenameBeforeBuildKeepsTransientMarks) {
+  TaskGraph g;
+  g.add(make_task("w", {}, {{"t", 0, 8}}));
+  const TaskId r = g.add(make_task("r", {{"t", 0, 8}}, {{"y", 0, 8}}));
+  g.mark_transient("t");
+  g.rename_arrays([](const std::string& name) { return "j7." + name; });
+  g.build();
+  EXPECT_EQ(g.transient_inputs(r), (std::vector<std::uint32_t>{0}))
+      << "the renamed input still resolves to the renamed transient array";
+}
+
 class FakeLocator final : public DataLocator {
  public:
   explicit FakeLocator(std::map<std::string, int> homes) : homes_(std::move(homes)) {}

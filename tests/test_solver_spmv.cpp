@@ -3,6 +3,15 @@
 // in-memory reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <memory>
+#include <set>
+#include <thread>
+
+#include "jobs/job_manager.hpp"
 #include "solver/iterated_spmv.hpp"
 #include "spmv/generator.hpp"
 #include "test_util.hpp"
@@ -214,6 +223,221 @@ TEST(IteratedSpmv, CleanupDeletesIntermediatesKeepsResult) {
   EXPECT_FALSE(cluster.node(0).array_meta("xp1_0_0").has_value());
   EXPECT_FALSE(cluster.node(0).array_meta("x1_0").has_value());
   EXPECT_TRUE(cluster.node(0).array_meta("x2_0").has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Transient intermediates: reclaimed as soon as their last reader finishes
+// ---------------------------------------------------------------------------
+
+/// A small 2-node deployment: K = 4 column strips, so every
+/// row aggregates locally on both nodes before its reduction.
+class TwoNodeSolve {
+ public:
+  static constexpr std::uint64_t kN = 4096;
+
+  explicit TwoNodeSolve(const std::string& tag) : dir_(tag) {
+    storage::StorageConfig cfg;
+    cfg.scratch_root = dir_.str();
+    cfg.memory_budget = 64ull << 20;
+    cluster_ = std::make_unique<storage::StorageCluster>(2, cfg);
+    CsrMatrix m = spmv::generate_uniform_gap(kN, kN, 256.0, 2024);  // ~16 nnz/row
+    for (auto& v : m.values) v *= 0.1;
+    const auto owner = spmv::column_strip_owner(2);
+    deployed_ = spmv::deploy_matrix(*cluster_, m, 4, owner);
+    spmv::create_distributed_vector(*cluster_, deployed_.grid, owner, "x", 0,
+                                    [](std::uint64_t i) { return 1.0 + 1e-4 * static_cast<double>(i); });
+  }
+
+  [[nodiscard]] storage::StorageCluster& cluster() { return *cluster_; }
+  [[nodiscard]] const spmv::DeployedMatrix& deployed() const { return deployed_; }
+
+  /// Nodes holding a resident block of `array`.
+  [[nodiscard]] int holders(const std::string& array) {
+    int n = 0;
+    for (int node = 0; node < cluster_->num_nodes(); ++node) {
+      const auto res = cluster_->node(node).residency(array);
+      n += std::count(res.begin(), res.end(), true) > 0 ? 1 : 0;
+    }
+    return n;
+  }
+
+ private:
+  testutil::TempDir dir_;
+  std::unique_ptr<storage::StorageCluster> cluster_;
+  spmv::DeployedMatrix deployed_;
+};
+
+/// Polls the cluster's resident bytes on a side thread while a solve runs.
+class ResidentPeak {
+ public:
+  explicit ResidentPeak(storage::StorageCluster& cluster)
+      : cluster_(cluster), thread_([this] {
+          while (!stop_.load()) {
+            sample();
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        }) {}
+  ResidentPeak(const ResidentPeak&) = delete;
+  ResidentPeak& operator=(const ResidentPeak&) = delete;
+  ~ResidentPeak() { stop(); }
+
+  /// Peak bytes seen, including the state at the moment of the call.
+  std::uint64_t stop() {
+    if (thread_.joinable()) {
+      stop_ = true;
+      thread_.join();
+      sample();
+    }
+    return peak_;
+  }
+
+ private:
+  void sample() { peak_ = std::max(peak_, cluster_.total_resident_bytes()); }
+
+  storage::StorageCluster& cluster_;
+  std::atomic<bool> stop_{false};
+  std::uint64_t peak_ = 0;
+  std::thread thread_;
+};
+
+/// The same tasks with no array marked transient: the engine then drops
+/// nothing, as it did before it reclaimed intermediates.
+sched::TaskGraph without_transients(const sched::TaskGraph& graph) {
+  sched::TaskGraph copy;
+  for (sched::TaskId t = 0; t < graph.size(); ++t) copy.add(graph.task(t));
+  copy.build();
+  return copy;
+}
+
+/// Bytes of the transient arrays written by one (middle) iteration's tasks.
+std::uint64_t iteration_intermediate_bytes(storage::StorageCluster& cluster,
+                                           const sched::TaskGraph& graph, int iteration) {
+  const auto& transient = graph.transient_arrays();
+  const std::set<std::string> names(transient.begin(), transient.end());
+  std::uint64_t bytes = 0;
+  for (sched::TaskId t = 0; t < graph.size(); ++t) {
+    if (graph.task(t).group != iteration) continue;
+    for (const auto& out : graph.task(t).outputs) {
+      if (names.count(out.array) != 0) bytes += cluster.node(0).array_meta(out.array)->size;
+    }
+  }
+  return bytes;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+IteratedSpmvConfig interleaved(int iterations) {
+  IteratedSpmvConfig config;
+  config.iterations = iterations;
+  config.mode = ReductionMode::Interleaved;
+  config.inter_iteration_sync = true;
+  return config;
+}
+
+TEST(TransientIntermediates, SolverMarksEverythingButTheFinalIterates) {
+  TwoNodeSolve s("transient_marks");
+  IteratedSpmv iterated(s.cluster(), s.deployed(), interleaved(3));
+  const auto& transient = iterated.graph().transient_arrays();
+  const std::set<std::string> names(transient.begin(), transient.end());
+  for (int u = 0; u < 4; ++u) {
+    EXPECT_EQ(names.count(BlockGrid::vector_name("x", 3, u)), 0u) << "x^N is the result";
+    EXPECT_EQ(names.count(BlockGrid::vector_name("x", 2, u)), 1u);
+    EXPECT_EQ(names.count(BlockGrid::vector_name("x", 0, u)), 0u) << "x^0 pre-exists";
+  }
+  EXPECT_EQ(names.count(BlockGrid::partial_name("x", 3, 1, 2)), 1u);
+  // Every created array is written in the graph; all but the 4 final parts
+  // are transient: 3 x (16 partials + 8 aggregates + 4 iterates) + 2 sync
+  // tokens - 4 final iterates.
+  EXPECT_EQ(transient.size(), 3u * (16 + 8 + 4) + 2 - 4);
+}
+
+TEST(TransientIntermediates, PeakResidencyStaysFlatAcrossIterations) {
+  const auto solve = [](int iterations, bool reclaim, std::uint64_t* peak,
+                        std::uint64_t* per_iteration) {
+    TwoNodeSolve s("transient_peak");
+    IteratedSpmv iterated(s.cluster(), s.deployed(), interleaved(iterations));
+    sched::TaskGraph unmarked;
+    if (!reclaim) unmarked = without_transients(iterated.graph());
+    sched::TaskGraph& graph = reclaim ? iterated.graph() : unmarked;
+    if (per_iteration != nullptr) {
+      *per_iteration = iteration_intermediate_bytes(s.cluster(), iterated.graph(), 2);
+    }
+    sched::Engine engine(s.cluster(), {});
+    sched::Report report;
+    {
+      ResidentPeak sampler(s.cluster());
+      report = engine.run(graph);
+      *peak = sampler.stop();
+    }
+    EXPECT_TRUE(report.faults.ok()) << report.faults.to_text();
+    EXPECT_EQ(report.tasks_executed, graph.size());
+    if (reclaim) {
+      for (const std::string& name : iterated.graph().transient_arrays()) {
+        EXPECT_EQ(s.holders(name), 0) << name << " outlived its last reader";
+        EXPECT_TRUE(s.cluster().node(0).array_meta(name).has_value())
+            << "reclaiming drops blocks, not the catalog entry";
+      }
+      for (int u = 0; u < 4; ++u) {
+        EXPECT_EQ(s.holders(BlockGrid::vector_name("x", iterations, u)), 1) << "x^N survives";
+      }
+    }
+    return iterated.gather_result();
+  };
+
+  std::uint64_t peak3 = 0;
+  std::uint64_t peak12 = 0;
+  std::uint64_t peak12_unmarked = 0;
+  std::uint64_t per_iteration = 0;
+  solve(3, true, &peak3, &per_iteration);
+  const std::vector<double> got = solve(12, true, &peak12, nullptr);
+  const std::vector<double> reference = solve(12, false, &peak12_unmarked, nullptr);
+
+  ASSERT_GT(per_iteration, 0u);
+  EXPECT_LE(peak12, peak3 + per_iteration)
+      << "12 iterations must not hold more than one extra iteration of intermediates";
+  EXPECT_GT(peak12_unmarked, peak3 + 9 * per_iteration)
+      << "sanity: without reclamation every iteration's intermediates stay resident";
+  EXPECT_TRUE(bitwise_equal(got, reference)) << "reclaiming must not change a single bit";
+}
+
+TEST(TransientIntermediates, JobManagerNamespacedSolveReclaims) {
+  constexpr int kIterations = 6;
+  std::vector<double> plain;
+  {
+    TwoNodeSolve s("transient_plain");
+    IteratedSpmv iterated(s.cluster(), s.deployed(), interleaved(kIterations));
+    sched::Engine engine(s.cluster(), {});
+    iterated.run(engine);
+    plain = iterated.gather_result();
+  }
+
+  TwoNodeSolve s("transient_jobs");
+  IteratedSpmv iterated(s.cluster(), s.deployed(), interleaved(kIterations));
+  sched::Engine engine(s.cluster(), {});
+  jobs::JobManager manager(s.cluster(), engine, jobs::JobManagerConfig{});
+  jobs::JobOptions options;
+  options.namespace_arrays = true;
+  const jobs::JobId id = manager.submit(iterated.graph(), options);
+  const sched::Report report = manager.await(id);
+  EXPECT_TRUE(report.faults.ok()) << report.faults.to_text();
+
+  const std::string prefix = jobs::job_array_prefix(id);
+  ASSERT_FALSE(iterated.graph().transient_arrays().empty());
+  for (const std::string& name : iterated.graph().transient_arrays()) {
+    EXPECT_EQ(name.rfind(prefix, 0), 0u) << name << " was not renamed with its job";
+    EXPECT_EQ(s.holders(name), 0) << name << " outlived its last reader";
+  }
+  const auto got = spmv::gather_vector(s.cluster(), s.deployed().grid, prefix + "x", kIterations);
+  EXPECT_TRUE(bitwise_equal(got, plain));
+
+  // Cleanup frees the job's (renamed) names and skips nothing it still needs.
+  iterated.cleanup_intermediates();
+  for (const std::string& name : iterated.graph().transient_arrays()) {
+    EXPECT_FALSE(s.cluster().node(0).array_meta(name).has_value()) << name;
+  }
+  iterated.cleanup_intermediates();  // a second call finds nothing left to delete
 }
 
 }  // namespace

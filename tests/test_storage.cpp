@@ -290,6 +290,26 @@ TEST(Storage, CrossNodeReadWaitsForRemoteProducer) {
   EXPECT_EQ(rf.get().as<std::uint64_t>()[0], 4242u);
 }
 
+TEST(Storage, LocalReadWaitsForLocalProducer) {
+  testutil::TempDir dir("await_local");
+  StorageCluster cluster(1, base_config(dir));
+  auto& node = cluster.node(0);
+  node.create_array("late", 32, 32);
+
+  // The consumer asks first on the producer's own node: its placeholder
+  // becomes the write target instead of tripping the write-once check.
+  auto rf = node.request_read({"late", 0, 32});
+  EXPECT_EQ(rf.wait_for(std::chrono::milliseconds(30)), std::future_status::timeout);
+
+  auto w = node.request_write({"late", 0, 32}).get();
+  w.as<std::uint64_t>()[0] = 4243;
+  w.release();
+
+  EXPECT_EQ(rf.get().as<std::uint64_t>()[0], 4243u);
+  EXPECT_THROW(node.request_write({"late", 0, 32}), ImmutabilityViolation)
+      << "once sealed, the block is write-once as ever";
+}
+
 TEST(Storage, PrefetchWarmsTheCache) {
   testutil::TempDir dir("prefetch");
   StorageCluster cluster(1, base_config(dir));
