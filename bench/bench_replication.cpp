@@ -1,15 +1,12 @@
 // Hot-block replication sweep: a skewed-popularity workload (one hot block
 // re-read by every node each round, a cold scan large enough to flush it
-// under plain LRU) run on the real engine with DOOC_REPLICATION off vs on,
-// plus the same policy replayed at paper scale on the DES backend.
+// under plain LRU) run on the real engine with DOOC_REPLICATION off vs on.
 //
 // Acceptance shape (gated by bench_replication_check):
 //   * solver outputs bitwise identical with replication on (parity_ok);
 //   * demand-I/O causal blame strictly lower with replication on
 //     (blame_shift_ok) and makespan no worse (makespan_ok);
-//   * replica traffic actually observed: promotions and replica hits > 0;
-//   * DES replay: replication on is deterministic and no slower (des fields
-//     diff exactly — virtual time, access-count heat epochs, no wall clock).
+//   * replica traffic actually observed: promotions and replica hits > 0.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +20,6 @@
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "sched/engine.hpp"
-#include "simcluster/testbed.hpp"
 #include "storage/storage_cluster.hpp"
 
 using namespace dooc;
@@ -278,49 +274,8 @@ int main() {
   report.meta("real_replica_promotions", on[0].stats.replica_promotions);
   report.meta("real_replica_bypass", on[0].stats.replica_bypass);
 
-  bench::section("DES replay — paper-scale testbed, replication off vs on (virtual time)");
-  sim::TestbedExperiment e;
-  e.nodes = 4;
-  sim::SimResources base;
-  base.bw_noise = 0.0;  // isolate the policy from noise-draw reordering
-  const auto des_off = sim::run_testbed(e, base);
-  sim::SimResources repl = base;
-  repl.replication = storage::ReplicationConfig::parse(on_spec);
-  const auto des_on = sim::run_testbed(e, repl);
-
-  bench::Table des({"replication", "makespan", "GPFS read", "replica hits", "promotions",
-                    "re-fetch flows"});
-  des.add_row({"off", bench::fmt("%.1f s", des_off.metrics.makespan),
-               format_bytes(static_cast<double>(des_off.metrics.disk_bytes)), "-", "-",
-               std::to_string(des_off.metrics.refetch_flows)});
-  des.add_row({"on", bench::fmt("%.1f s", des_on.metrics.makespan),
-               format_bytes(static_cast<double>(des_on.metrics.disk_bytes)),
-               std::to_string(des_on.metrics.replica_hits),
-               std::to_string(des_on.metrics.hot_promotions),
-               std::to_string(des_on.metrics.refetch_flows)});
-  des.print();
-
-  const bool des_ok = des_on.metrics.makespan <= des_off.metrics.makespan * 1.0001 &&
-                      des_on.metrics.hot_promotions > 0;
-  std::printf("\nDES makespan on %.1f s <= off %.1f s and promotions > 0: %s\n",
-              des_on.metrics.makespan, des_off.metrics.makespan, des_ok ? "YES" : "NO");
-  report.meta("des_makespan_ok", static_cast<std::uint64_t>(des_ok ? 1 : 0));
-
-  for (const bool repl_on : {false, true}) {
-    const auto& m = repl_on ? des_on.metrics : des_off.metrics;
-    report.add_record()
-        .field("config", repl_on ? "des-replication-on" : "des-replication-off")
-        .field("nodes", static_cast<std::uint64_t>(e.nodes))
-        .field("makespan_s", m.makespan)
-        .field("disk_gb", static_cast<double>(m.disk_bytes) / 1e9)
-        .field("replica_hits", m.replica_hits)
-        .field("hot_promotions", m.hot_promotions)
-        .field("refetch_flows", m.refetch_flows);
-  }
-
   const int failures =
-      (parity ? 0 : 1) + (blame_shift ? 0 : 1) + (makespan_ok ? 0 : 1) + (traffic ? 0 : 1) +
-      (des_ok ? 0 : 1);
+      (parity ? 0 : 1) + (blame_shift ? 0 : 1) + (makespan_ok ? 0 : 1) + (traffic ? 0 : 1);
 
   const std::string artifact = "BENCH_replication.json";
   if (!report.write(artifact)) {

@@ -39,6 +39,25 @@ std::string read_file(const std::string& path) {
   return text;
 }
 
+bool is_gate(const std::string& name) {
+  return name.size() > 3 && name.compare(name.size() - 3, 3, "_ok") == 0;
+}
+
+/// Append every numeric `*_ok` field equal to 0 in `doc` — top-level or
+/// inside a record — to `out`, prefixed with `side`.
+void collect_failed_gates(const json::Value& doc, const std::string& side,
+                          std::vector<std::string>& out) {
+  const auto scan = [&](const json::Value& obj, const std::string& where) {
+    for (const auto& [k, v] : obj.object) {
+      if (is_gate(k) && v.is_number() && v.number == 0.0) out.push_back(side + ": " + where + k);
+    }
+  };
+  scan(doc, "");
+  for (const auto& rec : doc.find("records")->array) {
+    if (rec.is_object()) scan(rec, "[" + record_identity(rec) + "] ");
+  }
+}
+
 bool listed(const std::vector<std::string>& names, const std::string& metric) {
   return std::find(names.begin(), names.end(), metric) != names.end();
 }
@@ -75,6 +94,9 @@ DiffResult diff_reports(const std::string& before_json, const std::string& after
   }
 
   DiffResult result;
+  collect_failed_gates(before, "before", result.failed_gates);
+  collect_failed_gates(after, "after", result.failed_gates);
+  result.regression = !result.failed_gates.empty();
 
   const json::Value* bver = before.find("schema_version");
   const json::Value* aver = after.find("schema_version");
@@ -154,9 +176,12 @@ std::string format_diff(const DiffResult& result, double threshold_pct) {
                   d.metric.c_str(), d.before, d.after, d.change_pct, verdict);
     out += buf;
   }
+  for (const auto& gate : result.failed_gates) out += "FAILED GATE " + gate + " = 0\n";
   for (const auto& note : result.notes) out += "note: " + note + "\n";
-  std::snprintf(buf, sizeof(buf), "%zu metric(s) compared, %zu regression(s) past %.1f%%\n",
-                result.deltas.size(), result.regressions(), threshold_pct);
+  std::snprintf(buf, sizeof(buf),
+                "%zu metric(s) compared, %zu regression(s) past %.1f%%, %zu failed gate(s)\n",
+                result.deltas.size(), result.regressions(), threshold_pct,
+                result.failed_gates.size());
   out += buf;
   return out;
 }

@@ -7,7 +7,8 @@
 // Which direction is "worse" comes from name heuristics (seconds/time →
 // lower is better, gflops/bandwidth/overlap → higher is better), each
 // overridable per metric from the command line; metrics with no known
-// direction are reported but never gate.
+// direction are reported but never gate. Acceptance booleans (numeric
+// `*_ok` fields) equal to 0 in either report always fail the diff.
 #pragma once
 
 #include <string>
@@ -37,7 +38,10 @@ struct MetricDelta {
 struct DiffResult {
   std::vector<MetricDelta> deltas;
   std::vector<std::string> notes;  ///< unmatched records, schema drift, ...
-  bool regression = false;
+  /// Acceptance booleans (numeric `*_ok` fields) equal to 0 in either
+  /// report, top-level or inside a record ("after: [scenario=x] parity_ok").
+  std::vector<std::string> failed_gates;
+  bool regression = false;  ///< a metric regressed or a gate failed
 
   [[nodiscard]] std::size_t regressions() const {
     std::size_t n = 0;
@@ -49,7 +53,10 @@ struct DiffResult {
 /// Heuristic direction for a metric name, before overrides.
 Direction classify_metric(const std::string& name);
 
-/// Diff two JsonReport documents given as JSON text. Throws
+/// Diff two JsonReport documents given as JSON text. Any numeric `*_ok`
+/// field equal to 0 in either document fails the diff, whatever the
+/// thresholds: a report with a failed acceptance boolean is neither a
+/// valid baseline nor a passing run. Throws
 /// std::runtime_error on unparseable input or a document with no
 /// "records" array.
 DiffResult diff_reports(const std::string& before_json, const std::string& after_json,

@@ -121,7 +121,6 @@ struct Engine::JobRun {
   storage::StorageStats stats_before;
   std::uint64_t cross_before = 0;
   FaultSummary faults;                   ///< fault_mutex_
-  std::vector<TraceEvent> trace;         ///< trace_mutex_
   /// Readers still to finish per transient array (TaskGraph transient id):
   /// at zero the array's blocks are dropped; producer re-runs re-arm them.
   std::mutex reclaim_mutex;
@@ -262,11 +261,11 @@ void Engine::ensure_started() {
   for (auto& ns : node_states_) {
     NodeState* state = ns.get();
     for (int slot = 0; slot < config_.compute_slots_per_node; ++slot) {
-      workers_.emplace_back([this, state, slot] {
+      workers_.emplace_back([this, state] {
         if (config_.blocking_io) {
-          worker_loop_blocking(*state, slot);
+          worker_loop_blocking(*state);
         } else {
-          worker_loop(*state, slot);
+          worker_loop(*state);
         }
       });
     }
@@ -799,7 +798,7 @@ void Engine::prefetch_blocking_locked(NodeState& ns, JobRun& jr) {
   }
 }
 
-void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* staged) {
+void Engine::execute(NodeState& ns, JobRun& jr, TaskId t, Staged* staged) {
   const Task& task = jr.graph->task(t);
   auto& storage_node = cluster_.node(ns.node);
 
@@ -816,7 +815,7 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* stag
     // are pinned, so probing again would always say "resident".
     inputs_resident = staged->resident_at_stage;
     missing_bytes = staged->missing_bytes;
-  } else if ((config_.record_trace || tracing) && !control_only) {
+  } else if (tracing && !control_only) {
     for (const auto& in : task.inputs) {
       if (!storage_node.is_resident(in)) {
         inputs_resident = false;
@@ -825,17 +824,6 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* stag
     }
   }
 
-  TraceEvent ev;
-  if (config_.record_trace) {
-    ev.task = t;
-    ev.name = task.name;
-    ev.kind = task.kind;
-    ev.node = ns.node;
-    ev.slot = slot;
-    ev.inputs_resident = inputs_resident;
-    ev.missing_bytes = missing_bytes;
-    ev.start = jr.clock.seconds();
-  }
   // Acquire output handles (immediate) then input handles. On the
   // completion-driven path the inputs arrived with the storage completions
   // that made the task Runnable; the blocking path waits on futures here.
@@ -871,7 +859,7 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* stag
   // otherwise the blocking ablation's I/O waits would masquerade as
   // compute in the overlap accounting. tid is the per-thread lane
   // (unique process-wide), so spans emitted by one worker always nest
-  // cleanly; the compute slot travels as an arg.
+  // cleanly.
   const std::int32_t lane = obs::current_thread_lane();
   std::optional<obs::Span> task_span;
   if (tracing) {
@@ -914,12 +902,6 @@ void Engine::execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* stag
                      lane, now, obs::causal::flow_id_dep(out.array), obs::intern("task"), t,
                      obs::intern("job"), jr.id);
     }
-  }
-
-  if (config_.record_trace) {
-    ev.end = jr.clock.seconds();
-    std::lock_guard lock(trace_mutex_);
-    jr.trace.push_back(std::move(ev));
   }
 }
 
@@ -1002,10 +984,6 @@ void Engine::retire_job(const JobPtr& jr) {
     if (is_faulted[t] == 0) report.total_flops += jr->graph->task(t).est_flops;
   }
   report.assignment = jr->assignment;
-  {
-    std::lock_guard tlock(trace_mutex_);
-    report.trace = std::move(jr->trace);
-  }
   report.storage = delta(cluster_.total_stats(), jr->stats_before);
   report.cross_node_bytes =
       (cluster_.transport() != nullptr ? cluster_.transport()->cross_node_bytes() : 0) -
@@ -1043,7 +1021,7 @@ void Engine::retire_job(const JobPtr& jr) {
   jobs_cv_.notify_all();
 }
 
-void Engine::worker_loop(NodeState& ns, int slot) {
+void Engine::worker_loop(NodeState& ns) {
   std::vector<int> wakes;
   std::vector<JobPtr> failures;
   std::vector<JobPtr> settled;
@@ -1099,7 +1077,7 @@ void Engine::worker_loop(NodeState& ns, int slot) {
       ns.staged.erase(it);
     }
     try {
-      execute(ns, slot, *jr, t, &staged);
+      execute(ns, *jr, t, &staged);
     } catch (...) {
       fail_job(jr, std::current_exception());
       continue;
@@ -1108,7 +1086,7 @@ void Engine::worker_loop(NodeState& ns, int slot) {
   }
 }
 
-void Engine::worker_loop_blocking(NodeState& ns, int slot) {
+void Engine::worker_loop_blocking(NodeState& ns) {
   while (true) {
     JobPtr jr;
     TaskId t = kInvalidTask;
@@ -1136,7 +1114,7 @@ void Engine::worker_loop_blocking(NodeState& ns, int slot) {
       }
     }
     try {
-      execute(ns, slot, *jr, t, nullptr);
+      execute(ns, *jr, t, nullptr);
     } catch (...) {
       fail_job(jr, std::current_exception());
       continue;

@@ -93,23 +93,10 @@ struct EngineConfig {
   int prefetch_window = 2;
   LocalPolicy local_policy = LocalPolicy::DataAware;
   GlobalPolicy global_policy = GlobalPolicy::Affinity;
-  bool record_trace = true;
   /// Ablation baseline: workers pick a task and block on future::get() for
   /// its inputs (the pre-completion-driven engine). Default is the
   /// completion-driven path where compute workers never block on I/O.
   bool blocking_io = false;
-};
-
-struct TraceEvent {
-  TaskId task = kInvalidTask;
-  std::string name;
-  std::string kind;
-  int node = -1;
-  int slot = -1;
-  double start = 0.0;  ///< seconds since the job's submit
-  double end = 0.0;
-  bool inputs_resident = false;  ///< all inputs resident when the task was picked
-  std::uint64_t missing_bytes = 0;  ///< input bytes that had to be loaded/fetched
 };
 
 /// One task whose input loads failed permanently (retry budget exhausted).
@@ -142,7 +129,6 @@ struct Report {
   std::uint64_t tasks_executed = 0;
   double total_flops = 0.0;
   std::vector<int> assignment;        ///< task -> node
-  std::vector<TraceEvent> trace;      ///< empty unless record_trace
   /// Cluster-wide stats delta over the job. Exact for a lone job; when
   /// jobs overlap in time the deltas overlap too (shared cluster).
   storage::StorageStats storage;
@@ -210,8 +196,8 @@ class Engine {
     return (static_cast<std::uint64_t>(job) << 32) | t;
   }
 
-  void worker_loop(NodeState& ns, int slot);
-  void worker_loop_blocking(NodeState& ns, int slot);
+  void worker_loop(NodeState& ns);
+  void worker_loop_blocking(NodeState& ns);
   /// Live (not settled/failed) jobs in scheduling order: priority
   /// descending, id ascending within a tier. `rotate` offsets the start
   /// within the top tier for per-node round-robin fairness.
@@ -258,7 +244,7 @@ class Engine {
   /// Issue prefetches for the next `prefetch_window` tasks of a job
   /// (blocking-io compatibility pass). ns.mutex held.
   void prefetch_blocking_locked(NodeState& ns, JobRun& jr);
-  void execute(NodeState& ns, int slot, JobRun& jr, TaskId t, Staged* staged);
+  void execute(NodeState& ns, JobRun& jr, TaskId t, Staged* staged);
   /// Release the task's transient inputs, finish() it on the job's core,
   /// wake nodes that gained work, retire the job if that settled it. No
   /// locks held on entry.
@@ -303,7 +289,6 @@ class Engine {
   std::mutex start_mutex_;
 
   std::mutex fault_mutex_;   ///< guards every JobRun's FaultSummary
-  std::mutex trace_mutex_;   ///< guards every JobRun's TraceEvent vector
 };
 
 }  // namespace dooc::sched

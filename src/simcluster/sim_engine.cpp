@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <deque>
+#include <initializer_list>
 #include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "obs/causal.hpp"
@@ -23,8 +25,8 @@ constexpr std::uint64_t kControlBytes = 4096;
 /// the real backend (pid = virtual node, cat "task"/"io"), so the trace
 /// reader and dooc_tracecat work unchanged on simulated runs.
 void emit_virtual(std::string_view cat, std::string_view name, int pid, int tid,
-                  double start_s, double dur_s, std::string_view arg_name = {},
-                  std::uint64_t arg_val = 0) {
+                  double start_s, double dur_s,
+                  std::initializer_list<std::pair<std::string_view, std::uint64_t>> args = {}) {
   obs::Event ev;
   ev.phase = obs::Phase::Complete;
   ev.cat = obs::intern(cat);
@@ -33,10 +35,10 @@ void emit_virtual(std::string_view cat, std::string_view name, int pid, int tid,
   ev.tid = tid;
   ev.ts_ns = static_cast<std::uint64_t>(start_s * 1e9);
   ev.dur_ns = static_cast<std::uint64_t>(dur_s * 1e9);
-  if (!arg_name.empty()) {
-    ev.nargs = 1;
-    ev.arg_name[0] = obs::intern(arg_name);
-    ev.arg_val[0] = arg_val;
+  for (const auto& [arg_name, arg_val] : args) {
+    ev.arg_name[ev.nargs] = obs::intern(arg_name);
+    ev.arg_val[ev.nargs] = arg_val;
+    ++ev.nargs;
   }
   obs::TraceSession::instance().emit(ev);
 }
@@ -54,9 +56,17 @@ void emit_virtual_flow(obs::Phase phase, std::string_view cat, std::string_view 
 }  // namespace
 
 struct SimEngine::NodeState {
+  /// A fetch waiting for fair-share admission.
+  struct Deferred {
+    std::string array;
+    std::uint64_t bytes = 0;
+    std::uint64_t since_ns = 0;
+  };
+
   int node = -1;
-  /// Concurrently running tasks (up to SimResources::compute_slots).
-  std::vector<std::pair<TaskId, double>> running;  // (task, end time)
+  /// Running compute, up to SimResources::compute_slots: (job, task, end time).
+  std::vector<std::tuple<std::uint32_t, TaskId, double>> running;
+  std::uint64_t rr = 0;  ///< compute round-robin rotation over the jobs
   // Memory accounting.
   std::uint64_t used_bytes = 0;
   std::uint64_t inflight_bytes = 0;
@@ -64,6 +74,30 @@ struct SimEngine::NodeState {
   std::map<std::string, int> pins;
   std::uint64_t tick = 0;
   std::uint64_t tasks_done = 0;  ///< completed tasks (telemetry frames)
+  // Fair-share fetch admission (inflight_load_budget != 0).
+  FairShare fair;
+  std::map<TenantId, std::deque<Deferred>> deferred;  ///< per-job FIFO of waiting fetches
+  std::map<std::string, std::uint32_t> fetch_job;     ///< array in flight -> job charged
+
+  [[nodiscard]] bool others_waiting(TenantId tenant) const {
+    for (const auto& [t, q] : deferred) {
+      if (t != tenant && !q.empty()) return true;
+    }
+    return false;
+  }
+};
+
+/// One submitted job: its ExecutorCore and accounting. The DES mirror of
+/// the multi-tenant engine's JobRun.
+struct SimEngine::Job {
+  const SimJob* spec = nullptr;
+  std::uint32_t idx = 0;
+  std::vector<int> assignment;
+  std::unique_ptr<sched::ExecutorCore> core;
+  bool done = false;
+  double finish = 0.0;
+  double flops = 0.0;
+  std::uint64_t tasks = 0;
 };
 
 SimEngine::~SimEngine() = default;
@@ -116,33 +150,25 @@ std::uint64_t SimEngine::resident_input_bytes(int node, const Task& task) {
 
 void SimEngine::evict_for(NodeState& ns, std::uint64_t incoming) {
   while (ns.used_bytes + ns.inflight_bytes + incoming > res_.node_memory) {
-    // LRU over durable, unpinned resident arrays. With replication on, hot
-    // arrays sit in the protected 2Q class: they are victimised only when no
-    // cold candidate remains — the same scan resistance the real node's
-    // TwoQ policy provides.
-    std::string victim;
+    // LRU over durable, unpinned resident arrays.
+    const std::string* victim = nullptr;
     std::uint64_t best_tick = 0;
-    bool found = false;
-    bool victim_hot = false;
     for (const auto& [name, tick] : ns.lru_tick) {
-      const auto& st = arrays_.at(name);
-      if (!st.durable) continue;
+      if (!arrays_.at(name).durable) continue;
       auto pin = ns.pins.find(name);
       if (pin != ns.pins.end() && pin->second > 0) continue;
-      const bool hot = array_hot(name);
-      if (!found || (hot == victim_hot ? tick < best_tick : victim_hot)) {
-        victim = name;
+      if (victim == nullptr || tick < best_tick) {
+        victim = &name;
         best_tick = tick;
-        found = true;
-        victim_hot = hot;
       }
     }
-    if (!found) return;  // allow overshoot (mirrors the real storage layer)
-    auto& st = arrays_.at(victim);
+    if (victim == nullptr) return;  // allow overshoot (mirrors the real storage layer)
+    const std::string name = *victim;
+    auto& st = arrays_.at(name);
     st.resident_on.erase(ns.node);
     ns.used_bytes -= st.bytes;
-    ns.lru_tick.erase(victim);
-    ns.pins.erase(victim);
+    ns.lru_tick.erase(name);
+    ns.pins.erase(name);
   }
 }
 
@@ -152,40 +178,22 @@ void SimEngine::make_resident(int node, const std::string& array) {
     auto& ns = *nodes_[static_cast<std::size_t>(node)];
     ns.used_bytes += st.bytes;
     ns.lru_tick[array] = ++ns.tick;
-    ever_resident_.insert({node, array});
   }
 }
 
-void SimEngine::record_heat(const std::string& array) {
-  if (heat_ == nullptr) return;
-  // The DES tracks heat per array (block 0 stands in for the whole array):
-  // virtual tasks read whole partitions, so array granularity is the faithful
-  // analogue of the real catalog's per-block counters.
-  const storage::BlockKey key{array, 0};
-  const bool was_hot = heat_->peek(key) >= res_.replication.hot_threshold;
-  const bool hot = heat_->record(key) >= res_.replication.hot_threshold;
-  if (hot && !was_hot) ++metrics_.hot_promotions;
-  if (hot) ++metrics_.replica_hits;
-}
-
-bool SimEngine::array_hot(const std::string& array) const {
-  return heat_ != nullptr &&
-         heat_->peek(storage::BlockKey{array, 0}) >= res_.replication.hot_threshold;
-}
-
-void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
+bool SimEngine::start_fetch(NodeState& ns, const std::string& array) {
   auto it = arrays_.find(array);
-  if (it == arrays_.end()) return;
+  if (it == arrays_.end()) return false;
   ArrayState& st = it->second;
-  if (st.bytes <= kControlBytes) return;
-  if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return;
+  if (st.bytes <= kControlBytes) return false;
+  if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return false;
   if (plan_ != nullptr) {
+    if (plan_->node_down(ns.node)) return false;  // a down node issues no fetches
     const auto bit = blocked_until_.find({ns.node, array});
-    if (bit != blocked_until_.end() && bit->second > now_) return;  // backoff in force
+    if (bit != blocked_until_.end() && bit->second > now_) return false;  // backoff in force
   }
 
   std::vector<ResourceId> path;
-  bool is_gpfs = false;
   double own_cap = 0.0;
   // Stored-encoded arrays move their (smaller) codec-frame size over the
   // filesystem — the bandwidth half of the compression trade. The memory
@@ -195,22 +203,20 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
     // Filesystem read through the node's GPFS client and the shared
     // aggregate, individually perturbed by bandwidth noise.
     path = {gpfs_node_link_[static_cast<std::size_t>(ns.node)], gpfs_aggregate_};
-    is_gpfs = true;
     SplitMix64 rng(res_.seed ^ (noise_state_++ * 0x9e3779b97f4a7c15ull));
     const double factor = 1.0 - res_.bw_noise * rng.next_double();
     own_cap = res_.node_read_cap * factor;
     if (st.stored != 0) wire_bytes = st.stored;
   } else {
     // Produced data: fetch over IB from a live node that holds it.
-    if (st.resident_on.empty()) return;  // producer not done yet
     int src = -1;
     for (int cand : st.resident_on) {
-      if (cand == ns.node) return;  // already local (shouldn't happen)
       if (plan_ != nullptr && plan_->node_down(cand)) continue;  // holder unreachable
       src = cand;
       break;
     }
-    if (src < 0) return;  // every holder is down: wait out the outage
+    // No holder yet (producer not done), or every holder is down: wait.
+    if (src < 0) return false;
     path = {ib_egress_[static_cast<std::size_t>(src)],
             ib_ingress_[static_cast<std::size_t>(ns.node)]};
   }
@@ -219,7 +225,7 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
   evict_for(ns, st.bytes);
   if (ns.used_bytes + ns.inflight_bytes + st.bytes > res_.node_memory &&
       ns.used_bytes + ns.inflight_bytes > 0) {
-    return;  // try again later; something will drain
+    return false;  // try again later; something will drain
   }
 
   ns.inflight_bytes += st.bytes;
@@ -233,17 +239,112 @@ void SimEngine::ensure_fetch(NodeState& ns, const std::string& array) {
                       100 + static_cast<int>(id % 16), now_,
                       obs::causal::flow_id_load(array, 0));
   }
-  if (is_gpfs) {
+  if (st.durable) {
     gpfs_flows_.insert(id);
     metrics_.disk_bytes += wire_bytes;
-    // A GPFS read of an array this node has held before is exactly the
-    // demand-io the replication policy exists to avoid.
-    if (heat_ != nullptr && ever_resident_.count({ns.node, array}) != 0) {
-      ++metrics_.refetch_flows;
-    }
   } else {
     metrics_.net_bytes += wire_bytes;
   }
+  return true;
+}
+
+void SimEngine::fetch(NodeState& ns, const Job& job, const std::string& array) {
+  if (res_.inflight_load_budget == 0) {
+    (void)start_fetch(ns, array);
+    return;
+  }
+  const auto it = arrays_.find(array);
+  if (it == arrays_.end() || it->second.bytes <= kControlBytes) return;
+  const ArrayState& st = it->second;
+  if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return;
+  auto& queue = ns.deferred[job.idx];
+  for (const auto& d : queue) {
+    if (d.array == array) return;  // already waiting for admission
+  }
+  if (!ns.fair.try_admit(job.idx, st.bytes, ns.others_waiting(job.idx))) {
+    queue.push_back({array, st.bytes, static_cast<std::uint64_t>(now_ * 1e9)});
+    ++metrics_.deferred_fetches;
+    return;
+  }
+  if (start_fetch(ns, array)) {
+    ns.fair.charge(job.idx, st.bytes);
+    ns.fetch_job[array] = job.idx;
+  }
+}
+
+void SimEngine::drain_deferred(NodeState& ns) {
+  if (res_.inflight_load_budget == 0) return;
+  while (true) {
+    std::vector<FairShare::Head> heads;
+    for (auto qit = ns.deferred.begin(); qit != ns.deferred.end();) {
+      auto& q = qit->second;
+      // Entries whose array landed meanwhile (another job fetched it, or
+      // a producer output it here) are satisfied already.
+      while (!q.empty()) {
+        const auto ait = arrays_.find(q.front().array);
+        if (ait != arrays_.end() && ait->second.resident_on.count(ns.node) == 0 &&
+            ait->second.fetching_on.count(ns.node) == 0) {
+          break;
+        }
+        q.pop_front();
+      }
+      if (q.empty()) {
+        qit = ns.deferred.erase(qit);
+        continue;
+      }
+      heads.push_back(FairShare::Head{qit->first, q.front().bytes, q.front().since_ns});
+      ++qit;
+    }
+    if (heads.empty()) return;
+    const TenantId granted = ns.fair.pick(heads, static_cast<std::uint64_t>(now_ * 1e9));
+    if (granted == FairShare::kNone) return;
+    auto& q = ns.deferred.at(granted);
+    if (!start_fetch(ns, q.front().array)) {
+      // Refused (memory pressure, a backoff gate, an outage): stop — it
+      // clears when running tasks finish, flows land or the gate expires.
+      return;
+    }
+    ns.fair.charge(granted, q.front().bytes);
+    ns.fetch_job[q.front().array] = granted;
+    q.pop_front();
+    if (q.empty()) ns.deferred.erase(granted);
+  }
+}
+
+bool SimEngine::active(const Job& job) const {
+  return !job.done && job.spec->arrival <= now_ + 1e-12;
+}
+
+std::vector<SimEngine::Job*> SimEngine::job_order(const NodeState& ns) {
+  // Priority desc, index asc, rotated within the top tier — same ordering
+  // rule as the engine's job_snapshot.
+  std::vector<Job*> order;
+  for (Job& j : jobs_) {
+    if (active(j)) order.push_back(&j);
+  }
+  std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
+    if (a->spec->priority != b->spec->priority) return a->spec->priority > b->spec->priority;
+    return a->idx < b->idx;
+  });
+  std::size_t tier = order.empty() ? 0 : 1;
+  while (tier < order.size() && order[tier]->spec->priority == order[0]->spec->priority) ++tier;
+  if (tier > 1) {
+    const std::size_t off = static_cast<std::size_t>(ns.rr) % tier;
+    std::rotate(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(off),
+                order.begin() + static_cast<std::ptrdiff_t>(tier));
+  }
+  return order;
+}
+
+bool SimEngine::node_busy(const NodeState& ns) const {
+  if (!ns.running.empty()) return true;
+  for (const Job& j : jobs_) {
+    if (active(j) && (j.core->backlog(ns.node) > 0 || j.core->pending(ns.node) > 0 ||
+                      j.core->runnable(ns.node) > 0)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void SimEngine::schedule_node(NodeState& ns) {
@@ -255,43 +356,58 @@ void SimEngine::schedule_node(NodeState& ns) {
     // flight finishes. Its op clock still ticks once per stalled scheduling
     // round so bounded outage windows (down=N@AFTER+OPS) expire under
     // virtual time.
-    if (core_->backlog(ns.node) > 0 || core_->pending(ns.node) > 0 ||
-        core_->runnable(ns.node) > 0 || !ns.running.empty()) {
-      (void)plan_->next_read(ns.node);
-    }
+    if (node_busy(ns)) (void)plan_->next_read(ns.node);
     return;
   }
+  const std::vector<Job*> order = job_order(ns);
+  if (order.empty()) return;
 
-  // 1. Let the core re-probe residency: staged tasks whose flows landed
-  //    become Runnable; runnable tasks whose data was evicted fall back.
-  core_->refresh(ns.node);
-
-  // 2. Stage fully-resident candidates — they never consume the prefetch
-  //    window and become Runnable immediately.
-  while (true) {
-    const StageDecision d = core_->next_to_stage(ns.node, StageSelect::Resident);
-    if (d.task == sched::kInvalidTask) break;
-    core_->stage(d.task, 0);
+  // 1+2. Let each core re-probe residency (staged tasks whose flows landed
+  //      become Runnable; runnable tasks whose data was evicted fall back),
+  //      then stage fully-resident candidates — they never consume the
+  //      prefetch window and become Runnable immediately.
+  for (Job* j : order) {
+    j->core->refresh(ns.node);
+    while (true) {
+      const StageDecision d = j->core->next_to_stage(ns.node, StageSelect::Resident);
+      if (d.task == sched::kInvalidTask) break;
+      j->core->stage(d.task, 0);
+    }
   }
 
-  // 3. Start compute while slots are free (a node's compute filters run
-  //    concurrently on its cores). Inputs pin for the task's duration —
-  //    before step 4's fetches can trigger evictions.
+  // 3. Fill the shared compute slots round-robin over the jobs (a node's
+  //    compute filters run concurrently on its cores). The rotation is
+  //    re-derived after every grant: a single call often fills several
+  //    slots, and advancing rr without re-rotating lets the offset alias
+  //    with the pick count (e.g. two jobs, two slots per wake-up → the same
+  //    job wins the front position forever). Inputs pin for the task's
+  //    duration — before step 4's fetches can trigger evictions.
   while (static_cast<int>(ns.running.size()) < res_.compute_slots) {
-    const TaskId t = core_->take_runnable(ns.node);
-    if (t == sched::kInvalidTask) break;
-    double dur = task_duration(graph_->task(t));
+    Job* picked = nullptr;
+    TaskId t = sched::kInvalidTask;
+    for (Job* j : job_order(ns)) {
+      t = j->core->take_runnable(ns.node);
+      if (t != sched::kInvalidTask) {
+        picked = j;
+        break;
+      }
+    }
+    if (picked == nullptr) break;
+    ++ns.rr;
+    const Task& task = picked->spec->graph->task(t);
+    double dur = task_duration(task);
     // Injected straggler: this node's compute is uniformly slower.
     if (const auto f = res_.node_compute_factor.find(ns.node);
         f != res_.node_compute_factor.end()) {
       dur *= f->second;
     }
-    ns.running.emplace_back(t, now_ + dur);
+    ns.running.emplace_back(picked->idx, t, now_ + dur);
     if (obs::trace_enabled()) {
       // Slot index the task just took doubles as its compute-lane tid.
       const int tid = static_cast<int>(ns.running.size()) - 1;
-      emit_virtual("task", graph_->task(t).name, ns.node, tid, now_, dur, "task", t);
-      for (const auto& in : graph_->task(t).inputs) {
+      emit_virtual("task", task.name, ns.node, tid, now_, dur,
+                   {{"task", t}, {"job", picked->idx}});
+      for (const auto& in : task.inputs) {
         // Close the producer→consumer dep flow, and (for bulk inputs) the
         // load flow of the fetch that made the input resident here — an
         // input this node never fetched leaves an orphan 'f', which both
@@ -304,29 +420,31 @@ void SimEngine::schedule_node(NodeState& ns) {
         }
       }
     }
-    for (const auto& in : graph_->task(t).inputs) {
+    for (const auto& in : task.inputs) {
       if (in.length <= kControlBytes) continue;
       ++ns.pins[in.array];
       ns.lru_tick[in.array] = ++ns.tick;
-      record_heat(in.array);
     }
   }
 
-  // 4. Keep the I/O pipeline full: stage tasks with missing data up to the
-  //    core's prefetch window and issue their fetches. The input count is
-  //    symbolic (the DES promotes by re-probing, not by counting arrival
-  //    events).
-  while (true) {
-    const StageDecision d = core_->next_to_stage(ns.node, StageSelect::Missing);
-    if (d.task == sched::kInvalidTask) break;
-    core_->stage(d.task, 1);
-    for (const auto& in : graph_->task(d.task).inputs) ensure_fetch(ns, in.array);
+  // 4. Keep the I/O pipeline full: stage tasks with missing data up to each
+  //    job's prefetch window and issue their fetches through the fair-share
+  //    arbiter. The input count is symbolic (the DES promotes by
+  //    re-probing, not by counting arrival events). Staged tasks whose
+  //    admission was deferred on memory pressure re-issue their fetches
+  //    (a no-op for flows already running).
+  for (Job* j : order) {
+    while (true) {
+      const StageDecision d = j->core->next_to_stage(ns.node, StageSelect::Missing);
+      if (d.task == sched::kInvalidTask) break;
+      j->core->stage(d.task, 1);
+      for (const auto& in : j->spec->graph->task(d.task).inputs) fetch(ns, *j, in.array);
+    }
+    for (const TaskId pending : j->core->pending_tasks(ns.node)) {
+      for (const auto& in : j->spec->graph->task(pending).inputs) fetch(ns, *j, in.array);
+    }
   }
-  // Re-issue fetches for staged tasks whose admission was deferred on
-  // memory pressure (ensure_fetch is a no-op for flows already running).
-  for (const TaskId t : core_->pending_tasks(ns.node)) {
-    for (const auto& in : graph_->task(t).inputs) ensure_fetch(ns, in.array);
-  }
+  drain_deferred(ns);
 }
 
 void SimEngine::release_reader(const std::string& array) {
@@ -345,28 +463,26 @@ void SimEngine::release_reader(const std::string& array) {
 }
 
 void SimEngine::fault_consumers(int node, const std::string& array) {
-  for (const TaskId t : core_->pending_tasks(node)) {
-    const Task& task = graph_->task(t);
-    bool uses = false;
-    for (const auto& in : task.inputs) {
-      if (in.array == array) {
-        uses = true;
-        break;
+  for (Job& j : jobs_) {
+    for (const TaskId t : j.core->pending_tasks(node)) {
+      const auto& inputs = j.spec->graph->task(t).inputs;
+      if (std::none_of(inputs.begin(), inputs.end(),
+                       [&](const auto& in) { return in.array == array; })) {
+        continue;
       }
-    }
-    if (!uses) continue;
-    std::vector<TaskId> poisoned;
-    if (core_->fault(t, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
-      metrics_.tasks_faulted += poisoned.size();
-      if (obs::trace_enabled()) {
-        obs::emit_instant(obs::intern("fault"), obs::intern("task-poisoned"), node, 0);
+      std::vector<TaskId> poisoned;
+      if (j.core->fault(t, &poisoned) == sched::ExecutorCore::FaultAction::Poisoned) {
+        metrics_.tasks_faulted += poisoned.size();
+        if (obs::trace_enabled()) {
+          obs::emit_instant(obs::intern("fault"), obs::intern("task-poisoned"), node, 0);
+        }
       }
     }
   }
 }
 
-void SimEngine::finish_task(NodeState& ns, TaskId t) {
-  const Task& task = graph_->task(t);
+void SimEngine::finish_task(NodeState& ns, Job& job, TaskId t) {
+  const Task& task = job.spec->graph->task(t);
 
   // Unpin inputs and account their consumption.
   for (const auto& in : task.inputs) {
@@ -386,16 +502,20 @@ void SimEngine::finish_task(NodeState& ns, TaskId t) {
     }
   }
   metrics_.total_flops += task.est_flops;
+  job.flops += task.est_flops;
+  ++job.tasks;
   ++ns.tasks_done;
 
   std::vector<std::pair<int, TaskId>> newly_assigned;
-  core_->finish(t, newly_assigned);  // dependents enter the core's queues
+  job.core->finish(t, newly_assigned);  // dependents enter the core's queues
 }
 
 SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy policy) {
-  DOOC_REQUIRE(graph.built(), "run() needs a built task graph");
-  policy_ = policy;
-  graph_ = &graph;
+  return run_jobs({SimJob{&graph}}, policy);
+}
+
+SimMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPolicy policy) {
+  DOOC_REQUIRE(!jobs.empty(), "run_jobs() needs at least one job");
   now_ = 0;
   metrics_ = SimMetrics{};
   metrics_.nodes = num_nodes_;
@@ -405,10 +525,6 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   flow_start_.clear();
   gpfs_flows_.clear();
   noise_state_ = 0;
-  heat_ = res_.replication.enabled
-              ? std::make_unique<storage::replication::HeatTracker>(res_.replication.decay)
-              : nullptr;
-  ever_resident_.clear();
   // Programmatic plan wins; DOOC_FAULTS reaches the DES the same way it
   // reaches a real StorageCluster. `hold` keeps an env-derived plan alive
   // for the duration of the run.
@@ -431,25 +547,56 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     ib_ingress_.push_back(net_.add_resource("ib_in_" + std::to_string(n), res_.ib_link));
   }
 
-  // Array runtime state.
+  // Array state is shared: read counts pool across jobs, so a durable
+  // array read by several jobs survives until its last reader anywhere.
+  // Written arrays must be private to one job (namespace them).
   arrays_.clear();
   for (const auto& [name, meta] : meta_) {
     ArrayState st;
     st.bytes = meta.bytes;
     st.stored = meta.stored_bytes;
-    st.home = meta.home_node;
     st.durable = meta.durable;
     arrays_.emplace(name, st);
   }
-  for (TaskId t = 0; t < graph.size(); ++t) {
-    for (const auto& in : graph.task(t).inputs) {
-      auto it = arrays_.find(in.array);
-      DOOC_REQUIRE(it != arrays_.end(), "task reads unknown array '" + in.array + "'");
-      ++it->second.readers_remaining;
+  std::map<std::string, std::uint32_t> writer_job;
+  std::size_t total = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const SimJob& spec = jobs[j];
+    DOOC_REQUIRE(spec.graph != nullptr && spec.graph->built(),
+                 "run_jobs() needs built task graphs");
+    DOOC_REQUIRE(spec.weight > 0.0, "job weight must be positive");
+    total += spec.graph->size();
+    for (TaskId t = 0; t < spec.graph->size(); ++t) {
+      for (const auto& in : spec.graph->task(t).inputs) {
+        auto it = arrays_.find(in.array);
+        DOOC_REQUIRE(it != arrays_.end(), "task reads unknown array '" + in.array + "'");
+        ++it->second.readers_remaining;
+      }
+      for (const auto& out : spec.graph->task(t).outputs) {
+        const auto [wit, inserted] = writer_job.emplace(out.array, static_cast<std::uint32_t>(j));
+        DOOC_REQUIRE(inserted || wit->second == j,
+                     "jobs " + std::to_string(wit->second) + " and " + std::to_string(j) +
+                         " both write array '" + out.array + "' — namespace per-job arrays");
+      }
     }
   }
 
-  // Global assignment (same affinity heuristic as the real engine).
+  // Per-node state, with the same WDRR fetch arbiter the real storage
+  // layer runs, clocked in virtual nanoseconds.
+  FairShareConfig fair_config = res_.fair_share;
+  fair_config.budget_bytes = res_.inflight_load_budget;
+  nodes_.clear();
+  for (int n = 0; n < num_nodes_; ++n) {
+    auto ns = std::make_unique<NodeState>();
+    ns->node = n;
+    ns->fair.set_config(fair_config);
+    nodes_.push_back(std::move(ns));
+  }
+
+  // Global assignment (same affinity heuristic as the real engine), then
+  // one shared execution state machine per job (dependency counting,
+  // per-node queues, policy order, prefetch window) — same core as
+  // sched::Engine.
   class VirtualLocator final : public sched::DataLocator {
    public:
     explicit VirtualLocator(const std::map<std::string, solver::VirtualArray>* m) : m_(m) {}
@@ -461,24 +608,22 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
    private:
     const std::map<std::string, solver::VirtualArray>* m_;
   };
-  sched::GlobalScheduler global(num_nodes_);
-  VirtualLocator locator(&meta_);
-  assignment_ = global.assign(graph, locator);
-
-  // The shared execution state machine (dependency counting, per-node
-  // queues, policy order, prefetch window) — same core as sched::Engine.
+  const VirtualLocator locator(&meta_);
   sched::CoreConfig core_config;
   core_config.policy = policy;
   core_config.prefetch_window = res_.prefetch_window;
   core_config.demand_slots = 0;  // the DES never demand-stages past the window
-  core_ = std::make_unique<sched::ExecutorCore>(graph, assignment_, num_nodes_, core_config,
-                                                static_cast<sched::ResidencyProbe*>(this));
-
-  nodes_.clear();
-  for (int n = 0; n < num_nodes_; ++n) {
-    auto ns = std::make_unique<NodeState>();
-    ns->node = n;
-    nodes_.push_back(std::move(ns));
+  jobs_.clear();
+  jobs_.resize(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    Job& job = jobs_[j];
+    job.spec = &jobs[j];
+    job.idx = static_cast<std::uint32_t>(j);
+    job.assignment = sched::GlobalScheduler(num_nodes_).assign(*jobs[j].graph, locator);
+    job.core = std::make_unique<sched::ExecutorCore>(*jobs[j].graph, job.assignment, num_nodes_,
+                                                     core_config,
+                                                     static_cast<sched::ResidencyProbe*>(this));
+    for (auto& ns : nodes_) ns->fair.set_tenant(job.idx, jobs[j].weight, jobs[j].priority);
   }
 
   // Virtual-time telemetry replay: the same Hub + Watchdog the coordinator
@@ -497,32 +642,48 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   }
   const auto telemetry_tick = [&](double at_s) {
     const auto vns = static_cast<std::uint64_t>(at_s * 1e9);
-    for (int n = 0; n < num_nodes_; ++n) {
+    for (const auto& ns : nodes_) {
+      const int n = ns->node;
       if (const auto mute = res_.node_telemetry_mute_after.find(n);
           mute != res_.node_telemetry_mute_after.end() && at_s > mute->second) {
         continue;  // the SIGSTOP drill: heartbeats vanish, compute does not
       }
-      auto& ns = *nodes_[static_cast<std::size_t>(n)];
       obs::telemetry::TelemetryFrame f;
       f.node = n;
       f.seq = telemetry_seq[static_cast<std::size_t>(n)]++;
       f.ts_ns = vns;
-      f.tasks_executed = ns.tasks_done;
-      f.tasks_inflight = ns.running.size() + static_cast<std::uint64_t>(core_->pending(n));
-      f.queue_depth = static_cast<std::uint64_t>(core_->backlog(n)) +
-                      static_cast<std::uint64_t>(core_->runnable(n));
-      f.inflight_bytes = ns.inflight_bytes;
+      f.tasks_executed = ns->tasks_done;
+      f.tasks_inflight = ns->running.size();
+      for (const Job& j : jobs_) {
+        if (!active(j)) continue;
+        f.tasks_inflight += j.core->pending(n);
+        f.queue_depth += j.core->backlog(n) + j.core->runnable(n);
+      }
+      f.inflight_bytes = ns->inflight_bytes;
       hub->add(f, vns);
       ++metrics_.telemetry_frames;
     }
     for (auto& e : watchdog->poll(*hub, vns)) metrics_.health.push_back(std::move(e));
   };
 
+  // A job is done once it has arrived and its core settled every task
+  // (ran, or faulted/poisoned); its finish is the virtual time it settled.
+  const auto all_done = [&] {
+    bool done = true;
+    for (Job& j : jobs_) {
+      if (active(j) && j.core->all_settled()) {
+        j.done = true;
+        j.finish = now_;
+      }
+      done = done && j.done;
+    }
+    return done;
+  };
+
   // Main event loop.
-  const std::size_t total = graph.size();
   std::size_t guard = 0;
   const std::size_t guard_limit = 100 * total + 100000;
-  while (!core_->all_settled()) {
+  while (!all_done()) {
     DOOC_CHECK(++guard < guard_limit, "simulation event-loop guard tripped");
     // Due telemetry ticks fire before scheduling so frames snapshot the
     // state as of the tick time, exactly like a daemon's cadence.
@@ -530,7 +691,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
       telemetry_tick(next_telemetry_s);
       next_telemetry_s += telemetry_interval_s;
     }
-    // Expired backoff gates are consumed (ensure_fetch may retry now);
+    // Expired backoff gates are consumed (start_fetch may retry now);
     // live ones bound dt below so the clock jumps straight to the retry.
     for (auto it = blocked_until_.begin(); it != blocked_until_.end();) {
       it = it->second <= now_ ? blocked_until_.erase(it) : std::next(it);
@@ -539,7 +700,10 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
 
     double dt = net_.next_completion_delta();
     for (const auto& ns : nodes_) {
-      for (const auto& [t, end] : ns->running) dt = std::min(dt, end - now_);
+      for (const auto& [j, t, end] : ns->running) dt = std::min(dt, end - now_);
+    }
+    for (const Job& j : jobs_) {
+      if (!j.done && j.spec->arrival > now_ + 1e-12) dt = std::min(dt, j.spec->arrival - now_);
     }
     for (const auto& [key, until] : blocked_until_) dt = std::min(dt, until - now_);
     for (const auto& [when, n, a] : arriving_) dt = std::min(dt, when - now_);
@@ -547,14 +711,9 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     if (!std::isfinite(dt)) {
       // Nothing in flight: either we just enabled work (loop again) or the
       // graph is stuck.
-      bool progress_possible = false;
-      for (const auto& ns : nodes_) {
-        if (!ns->running.empty() || core_->backlog(ns->node) > 0 ||
-            core_->pending(ns->node) > 0 || core_->runnable(ns->node) > 0) {
-          progress_possible = true;
-        }
-      }
-      DOOC_CHECK(progress_possible, "simulated execution deadlocked");
+      DOOC_CHECK(std::any_of(nodes_.begin(), nodes_.end(),
+                             [&](const auto& ns) { return node_busy(*ns); }),
+                 "simulated execution deadlocked");
       // A node has ready tasks but can neither run nor fetch — this only
       // happens transiently when fetches were deferred on memory pressure;
       // re-running schedule_node after other nodes drained resolves it.
@@ -577,12 +736,12 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
         if (obs::trace_enabled()) {
           emit_virtual("io", was_gpfs ? "gpfs_read" : "ib_fetch", node,
                        100 + static_cast<int>(id % 16), sit->second, now_ - sit->second,
-                       "bytes", st.stored != 0 ? st.stored : st.bytes);
+                       {{"bytes", st.stored != 0 ? st.stored : st.bytes}});
           if (dec > 0.0) {
             // Same cat/name as the real fetcher-thread decompression span,
             // so the causal layer attributes kBlameDecode on both backends.
             emit_virtual("storage", "decode", node, 100 + static_cast<int>(id % 16), now_, dec,
-                         "bytes", st.bytes);
+                         {{"bytes", st.bytes}});
           }
           // Delivery is when raw data exists — after the decode.
           emit_virtual_flow(obs::Phase::FlowStep, "load", "deliver", node,
@@ -593,6 +752,10 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
       }
       st.fetching_on.erase(node);
       ns.inflight_bytes -= st.bytes;
+      if (const auto fj = ns.fetch_job.find(array); fj != ns.fetch_job.end()) {
+        ns.fair.release(fj->second, st.bytes);
+        ns.fetch_job.erase(fj);
+      }
       // One completed fetch = one storage op against `node`: draw the same
       // deterministic verdict the real I/O filters would.
       fault::FaultDecision verdict;
@@ -604,7 +767,7 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
         const fault::RetryPolicy& rp = plan_->config().retry;
         ++metrics_.fetch_faults;
         if (failures < rp.max_attempts) {
-          // Not resident: ensure_fetch re-issues once the backoff expires.
+          // Not resident: start_fetch re-issues once the backoff expires.
           ++metrics_.fetch_retries;
           blocked_until_[key] = now_ + fault::backoff_delay_s(rp, failures);
         } else {
@@ -626,8 +789,9 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
           make_resident(node, array);
         }
       }
+      drain_deferred(ns);
     }
-    // Latency-spiked fetches whose deferred delivery time arrived.
+    // Deferred deliveries (decode latency, latency spikes) now due.
     for (auto it = arriving_.begin(); it != arriving_.end();) {
       if (std::get<0>(*it) <= now_ + 1e-12) {
         if (arrays_.at(std::get<2>(*it)).readers_remaining > 0) {
@@ -640,10 +804,10 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
     }
     for (auto& ns : nodes_) {
       for (std::size_t i = 0; i < ns->running.size();) {
-        if (ns->running[i].second <= now_ + 1e-12) {
-          const TaskId t = ns->running[i].first;
+        const auto [j, t, end] = ns->running[i];
+        if (end <= now_ + 1e-12) {
           ns->running.erase(ns->running.begin() + static_cast<std::ptrdiff_t>(i));
-          finish_task(*ns, t);
+          finish_task(*ns, jobs_[j], t);
         } else {
           ++i;
         }
@@ -652,13 +816,17 @@ SimMetrics SimEngine::run(const sched::TaskGraph& graph, sched::LocalPolicy poli
   }
 
   metrics_.makespan = now_;
-  core_.reset();  // holds a pointer into `graph`
-  graph_ = nullptr;
+  for (const auto& ns : nodes_) metrics_.starvation_overrides += ns->fair.starvation_overrides();
+  for (const Job& j : jobs_) {
+    metrics_.jobs.push_back(SimJobMetrics{j.idx, j.spec->arrival, j.finish,
+                                          j.finish - j.spec->arrival, j.flops, j.tasks});
+  }
+  jobs_.clear();    // the cores hold pointers into the graphs
   plan_ = nullptr;  // `hold` dies with this frame
-  return metrics_;
+  return std::exchange(metrics_, SimMetrics{});
 }
 
-double MultiJobMetrics::jain(const std::vector<double>& xs) {
+double SimMetrics::jain(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;
   double sum = 0.0;
   double sq = 0.0;
@@ -667,476 +835,6 @@ double MultiJobMetrics::jain(const std::vector<double>& xs) {
     sq += x * x;
   }
   return sq > 0.0 ? (sum * sum) / (static_cast<double>(xs.size()) * sq) : 1.0;
-}
-
-MultiJobMetrics SimEngine::run_jobs(const std::vector<SimJob>& jobs, sched::LocalPolicy policy) {
-  DOOC_REQUIRE(!jobs.empty(), "run_jobs() needs at least one job");
-
-  // Per-job execution contexts: one ExecutorCore each, multiplexed onto
-  // the shared modeled nodes — the DES mirror of the multi-tenant engine.
-  struct Ctx {
-    const SimJob* spec = nullptr;
-    std::uint32_t idx = 0;
-    std::vector<int> assignment;
-    std::unique_ptr<sched::ExecutorCore> core;
-    bool done = false;
-    double finish = 0.0;
-    double flops = 0.0;
-    std::uint64_t tasks = 0;
-  };
-
-  policy_ = policy;
-  now_ = 0;
-  metrics_ = SimMetrics{};  // scratch for ensure_fetch's byte counters
-  net_ = FlowNetwork{};
-  flow_target_.clear();
-  flow_start_.clear();
-  gpfs_flows_.clear();
-  noise_state_ = 0;
-  heat_ = res_.replication.enabled
-              ? std::make_unique<storage::replication::HeatTracker>(res_.replication.decay)
-              : nullptr;
-  ever_resident_.clear();
-  plan_ = nullptr;  // fault injection is a single-job (run) feature
-  fetch_failures_.clear();
-  blocked_until_.clear();
-  arriving_.clear();
-
-  gpfs_node_link_.clear();
-  ib_egress_.clear();
-  ib_ingress_.clear();
-  gpfs_aggregate_ = net_.add_resource("gpfs", res_.aggregate_read_cap);
-  for (int n = 0; n < num_nodes_; ++n) {
-    gpfs_node_link_.push_back(
-        net_.add_resource("gpfs_client_" + std::to_string(n), res_.node_read_cap));
-    ib_egress_.push_back(net_.add_resource("ib_out_" + std::to_string(n), res_.ib_link));
-    ib_ingress_.push_back(net_.add_resource("ib_in_" + std::to_string(n), res_.ib_link));
-  }
-
-  // Array state is shared: read counts pool across jobs, so a durable
-  // array read by several jobs survives until its last reader anywhere.
-  // Written arrays must be private to one job (namespace them).
-  arrays_.clear();
-  for (const auto& [name, meta] : meta_) {
-    ArrayState st;
-    st.bytes = meta.bytes;
-    st.stored = meta.stored_bytes;
-    st.home = meta.home_node;
-    st.durable = meta.durable;
-    arrays_.emplace(name, st);
-  }
-  std::map<std::string, std::uint32_t> writer_job;
-  std::vector<Ctx> ctxs(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const SimJob& spec = jobs[j];
-    DOOC_REQUIRE(spec.graph != nullptr && spec.graph->built(),
-                 "run_jobs() needs built task graphs");
-    DOOC_REQUIRE(spec.weight > 0.0, "job weight must be positive");
-    for (TaskId t = 0; t < spec.graph->size(); ++t) {
-      for (const auto& in : spec.graph->task(t).inputs) {
-        auto it = arrays_.find(in.array);
-        DOOC_REQUIRE(it != arrays_.end(), "task reads unknown array '" + in.array + "'");
-        ++it->second.readers_remaining;
-      }
-      for (const auto& out : spec.graph->task(t).outputs) {
-        const auto [wit, inserted] = writer_job.emplace(out.array, static_cast<std::uint32_t>(j));
-        DOOC_REQUIRE(inserted || wit->second == j,
-                     "jobs " + std::to_string(wit->second) + " and " + std::to_string(j) +
-                         " both write array '" + out.array + "' — namespace per-job arrays");
-      }
-    }
-  }
-
-  class VirtualLocator final : public sched::DataLocator {
-   public:
-    explicit VirtualLocator(const std::map<std::string, solver::VirtualArray>* m) : m_(m) {}
-    [[nodiscard]] int home_of(const storage::ArrayName& name) const override {
-      auto it = m_->find(name);
-      return it == m_->end() ? -1 : it->second.home_node;
-    }
-
-   private:
-    const std::map<std::string, solver::VirtualArray>* m_;
-  };
-  VirtualLocator locator(&meta_);
-  sched::CoreConfig core_config;
-  core_config.policy = policy;
-  core_config.prefetch_window = res_.prefetch_window;
-  core_config.demand_slots = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    Ctx& c = ctxs[j];
-    c.spec = &jobs[j];
-    c.idx = static_cast<std::uint32_t>(j);
-    sched::GlobalScheduler global(num_nodes_);
-    c.assignment = global.assign(*jobs[j].graph, locator);
-    c.core = std::make_unique<sched::ExecutorCore>(*jobs[j].graph, c.assignment, num_nodes_,
-                                                   core_config,
-                                                   static_cast<sched::ResidencyProbe*>(this));
-  }
-
-  nodes_.clear();
-  for (int n = 0; n < num_nodes_; ++n) {
-    auto ns = std::make_unique<NodeState>();
-    ns->node = n;
-    nodes_.push_back(std::move(ns));
-  }
-
-  // Per-node fair-share fetch arbitration: the same WDRR arbiter the real
-  // storage layer runs, clocked in virtual nanoseconds.
-  MultiJobMetrics out;
-  const bool budgeted = res_.inflight_load_budget != 0;
-  std::vector<FairShare> fair(static_cast<std::size_t>(num_nodes_));
-  struct Deferred {
-    std::string array;
-    std::uint64_t bytes = 0;
-    std::uint64_t since_ns = 0;
-  };
-  // node -> tenant (job index) -> FIFO of deferred fetch admissions.
-  std::vector<std::map<TenantId, std::deque<Deferred>>> deferred(
-      static_cast<std::size_t>(num_nodes_));
-  if (budgeted) {
-    FairShareConfig fcfg = res_.fair_share;
-    fcfg.budget_bytes = res_.inflight_load_budget;
-    for (int n = 0; n < num_nodes_; ++n) {
-      fair[static_cast<std::size_t>(n)].set_config(fcfg);
-      for (const Ctx& c : ctxs) {
-        fair[static_cast<std::size_t>(n)].set_tenant(c.idx, c.spec->weight, c.spec->priority);
-      }
-    }
-  }
-  // (node, array) -> job charged for the in-flight fetch.
-  std::map<std::pair<int, std::string>, std::uint32_t> flow_job;
-  // node -> (job, task, end time) of running compute.
-  std::vector<std::vector<std::tuple<std::uint32_t, TaskId, double>>> running(
-      static_cast<std::size_t>(num_nodes_));
-  std::vector<std::uint64_t> rr(static_cast<std::size_t>(num_nodes_), 0);
-
-  const auto now_ns = [&] { return static_cast<std::uint64_t>(now_ * 1e9); };
-  const bool tracing = obs::trace_enabled();
-
-  const auto active = [&](const Ctx& c) { return !c.done && c.spec->arrival <= now_ + 1e-12; };
-
-  // Active jobs in scheduling order: priority desc, index asc, rotated
-  // within the top tier — same ordering rule as the engine's job_snapshot.
-  const auto job_order = [&](int node) {
-    std::vector<Ctx*> order;
-    for (Ctx& c : ctxs) {
-      if (active(c)) order.push_back(&c);
-    }
-    std::sort(order.begin(), order.end(), [](const Ctx* a, const Ctx* b) {
-      if (a->spec->priority != b->spec->priority) return a->spec->priority > b->spec->priority;
-      return a->idx < b->idx;
-    });
-    if (order.size() > 1) {
-      std::size_t tier = 1;
-      while (tier < order.size() && order[tier]->spec->priority == order[0]->spec->priority) {
-        ++tier;
-      }
-      if (tier > 1) {
-        const std::size_t off = static_cast<std::size_t>(rr[static_cast<std::size_t>(node)]) % tier;
-        std::rotate(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(off),
-                    order.begin() + static_cast<std::ptrdiff_t>(tier));
-      }
-    }
-    return order;
-  };
-
-  // Start the modeled fetch if ensure_fetch admits it (memory, holder).
-  const auto try_start = [&](NodeState& ns, const std::string& array) {
-    ensure_fetch(ns, array);
-    const auto it = arrays_.find(array);
-    return it != arrays_.end() && it->second.fetching_on.count(ns.node) != 0;
-  };
-
-  const auto others_waiting = [&](int node, TenantId tenant) {
-    for (const auto& [t, q] : deferred[static_cast<std::size_t>(node)]) {
-      if (t != tenant && !q.empty()) return true;
-    }
-    return false;
-  };
-
-  // Fetch with fair-share admission in front of ensure_fetch's memory
-  // admission (the DES mirror of StorageNode::schedule_fetch).
-  const auto fetch = [&](NodeState& ns, const Ctx& c, const std::string& array) {
-    const auto it = arrays_.find(array);
-    if (it == arrays_.end() || it->second.bytes <= kControlBytes) return;
-    const ArrayState& st = it->second;
-    if (st.resident_on.count(ns.node) != 0 || st.fetching_on.count(ns.node) != 0) return;
-    const auto n = static_cast<std::size_t>(ns.node);
-    if (!budgeted) {
-      (void)try_start(ns, array);
-      return;
-    }
-    auto& queue = deferred[n][c.idx];
-    for (const Deferred& d : queue) {
-      if (d.array == array) return;  // already waiting for admission
-    }
-    if (!fair[n].try_admit(c.idx, st.bytes, others_waiting(ns.node, c.idx))) {
-      queue.push_back(Deferred{array, st.bytes, now_ns()});
-      ++out.deferred_fetches;
-      return;
-    }
-    if (try_start(ns, array)) {
-      fair[n].charge(c.idx, st.bytes);
-      flow_job[{ns.node, array}] = c.idx;
-    }
-  };
-
-  // Grant deferred fetches in WDRR order while the budget allows.
-  const auto drain_deferred = [&](NodeState& ns) {
-    if (!budgeted) return;
-    const auto n = static_cast<std::size_t>(ns.node);
-    while (true) {
-      auto& queues = deferred[n];
-      std::vector<FairShare::Head> heads;
-      for (auto qit = queues.begin(); qit != queues.end();) {
-        auto& q = qit->second;
-        // Entries whose array landed meanwhile (another job fetched it, or
-        // a producer output it here) are satisfied already.
-        while (!q.empty()) {
-          const auto ait = arrays_.find(q.front().array);
-          if (ait != arrays_.end() && ait->second.resident_on.count(ns.node) == 0 &&
-              ait->second.fetching_on.count(ns.node) == 0) {
-            break;
-          }
-          q.pop_front();
-        }
-        if (q.empty()) {
-          qit = queues.erase(qit);
-          continue;
-        }
-        heads.push_back(FairShare::Head{qit->first, q.front().bytes, q.front().since_ns});
-        ++qit;
-      }
-      if (heads.empty()) return;
-      const TenantId granted = fair[n].pick(heads, now_ns());
-      if (granted == FairShare::kNone) return;
-      auto& q = queues.at(granted);
-      const Deferred d = q.front();
-      q.pop_front();
-      if (q.empty()) queues.erase(granted);
-      if (try_start(ns, d.array)) {
-        fair[n].charge(granted, d.bytes);
-        flow_job[{ns.node, d.array}] = granted;
-      } else {
-        // Memory admission refused: put it back and stop — pressure clears
-        // when running tasks finish or flows land.
-        deferred[n][granted].push_front(d);
-        return;
-      }
-    }
-  };
-
-  const auto schedule_node = [&](NodeState& ns) {
-    using sched::StageDecision;
-    using sched::StageSelect;
-    const std::vector<Ctx*> order = job_order(ns.node);
-    if (order.empty()) return;
-    // 1+2. Re-probe residency and stage fully-resident candidates, per job.
-    for (Ctx* c : order) {
-      c->core->refresh(ns.node);
-      while (true) {
-        const StageDecision d = c->core->next_to_stage(ns.node, StageSelect::Resident);
-        if (d.task == sched::kInvalidTask) break;
-        c->core->stage(d.task, 0);
-      }
-    }
-    // 3. Fill the shared compute slots round-robin over the jobs. The
-    //    rotation is re-derived after every grant: a single call often fills
-    //    several slots, and advancing rr without re-rotating lets the offset
-    //    alias with the pick count (e.g. two jobs, two slots per wake-up →
-    //    the same job wins the front position forever).
-    auto& runs = running[static_cast<std::size_t>(ns.node)];
-    while (static_cast<int>(runs.size()) < res_.compute_slots) {
-      Ctx* picked = nullptr;
-      TaskId t = sched::kInvalidTask;
-      for (Ctx* c : job_order(ns.node)) {
-        t = c->core->take_runnable(ns.node);
-        if (t != sched::kInvalidTask) {
-          picked = c;
-          break;
-        }
-      }
-      if (picked == nullptr) break;
-      ++rr[static_cast<std::size_t>(ns.node)];
-      const Task& task = picked->spec->graph->task(t);
-      const double dur = task_duration(task);
-      runs.emplace_back(picked->idx, t, now_ + dur);
-      if (tracing) {
-        obs::Event ev;
-        ev.phase = obs::Phase::Complete;
-        ev.cat = obs::intern("task");
-        ev.name = obs::intern(task.name);
-        ev.pid = ns.node;
-        ev.tid = static_cast<std::int32_t>(runs.size()) - 1;
-        ev.ts_ns = now_ns();
-        ev.dur_ns = static_cast<std::uint64_t>(dur * 1e9);
-        ev.nargs = 2;
-        ev.arg_name[0] = obs::intern("task");
-        ev.arg_val[0] = t;
-        ev.arg_name[1] = obs::intern("job");
-        ev.arg_val[1] = picked->idx;
-        obs::TraceSession::instance().emit(ev);
-      }
-      for (const auto& in : task.inputs) {
-        if (in.length <= kControlBytes) continue;
-        ++ns.pins[in.array];
-        ns.lru_tick[in.array] = ++ns.tick;
-        record_heat(in.array);
-      }
-    }
-    // 4. Stage missing-data tasks up to each job's window and issue their
-    //    fetches through the fair-share arbiter.
-    for (Ctx* c : order) {
-      while (true) {
-        const StageDecision d = c->core->next_to_stage(ns.node, StageSelect::Missing);
-        if (d.task == sched::kInvalidTask) break;
-        c->core->stage(d.task, 1);
-        for (const auto& in : c->spec->graph->task(d.task).inputs) fetch(ns, *c, in.array);
-      }
-      for (const TaskId pending : c->core->pending_tasks(ns.node)) {
-        for (const auto& in : c->spec->graph->task(pending).inputs) fetch(ns, *c, in.array);
-      }
-    }
-    drain_deferred(ns);
-  };
-
-  const auto finish_task = [&](NodeState& ns, Ctx& c, TaskId t) {
-    const Task& task = c.spec->graph->task(t);
-    for (const auto& in : task.inputs) {
-      if (in.length > kControlBytes) {
-        auto pin = ns.pins.find(in.array);
-        if (pin != ns.pins.end() && pin->second > 0) --pin->second;
-      }
-      release_reader(in.array);
-    }
-    for (const auto& out : task.outputs) {
-      evict_for(ns, arrays_.at(out.array).bytes);
-      make_resident(ns.node, out.array);
-    }
-    c.flops += task.est_flops;
-    ++c.tasks;
-    std::vector<std::pair<int, TaskId>> newly_assigned;
-    c.core->finish(t, newly_assigned);
-    if (c.core->all_settled()) {
-      c.done = true;
-      c.finish = now_;
-    }
-  };
-
-  const auto all_done = [&] {
-    for (const Ctx& c : ctxs) {
-      if (!c.done) return false;
-    }
-    return true;
-  };
-
-  std::size_t total = 0;
-  for (const SimJob& j : jobs) total += j.graph->size();
-  std::size_t guard = 0;
-  const std::size_t guard_limit = 100 * total + 100000;
-  while (!all_done()) {
-    DOOC_CHECK(++guard < guard_limit, "multi-job simulation event-loop guard tripped");
-    for (auto& ns : nodes_) schedule_node(*ns);
-
-    double dt = net_.next_completion_delta();
-    for (int n = 0; n < num_nodes_; ++n) {
-      for (const auto& [j, t, end] : running[static_cast<std::size_t>(n)]) {
-        dt = std::min(dt, end - now_);
-      }
-    }
-    for (const Ctx& c : ctxs) {
-      if (!c.done && c.spec->arrival > now_ + 1e-12) dt = std::min(dt, c.spec->arrival - now_);
-    }
-    for (const auto& [when, n, a] : arriving_) dt = std::min(dt, when - now_);
-    if (!std::isfinite(dt)) {
-      bool progress_possible = false;
-      for (const auto& ns : nodes_) {
-        for (const Ctx& c : ctxs) {
-          if (!active(c)) continue;
-          if (c.core->backlog(ns->node) > 0 || c.core->pending(ns->node) > 0 ||
-              c.core->runnable(ns->node) > 0) {
-            progress_possible = true;
-          }
-        }
-        if (!running[static_cast<std::size_t>(ns->node)].empty()) progress_possible = true;
-      }
-      DOOC_CHECK(progress_possible, "multi-job simulated execution deadlocked");
-      now_ += 1e-3;
-      continue;
-    }
-    dt = std::max(dt, 0.0);
-    const auto finished = net_.advance(dt);
-    now_ += dt;
-    for (FlowId id : finished) {
-      const auto [node, array] = flow_target_.at(id);
-      flow_target_.erase(id);
-      gpfs_flows_.erase(id);
-      flow_start_.erase(id);
-      auto& ns = *nodes_[static_cast<std::size_t>(node)];
-      auto& st = arrays_.at(array);
-      st.fetching_on.erase(node);
-      ns.inflight_bytes -= st.bytes;
-      if (budgeted) {
-        const auto fj = flow_job.find({node, array});
-        if (fj != flow_job.end()) {
-          fair[static_cast<std::size_t>(node)].release(fj->second, st.bytes);
-          flow_job.erase(fj);
-        }
-      }
-      const double dec = decode_delay_s(st);
-      if (st.readers_remaining > 0) {
-        // Residency waits out the modeled decompression, same as run().
-        if (dec > 0.0) {
-          arriving_.emplace_back(now_ + dec, node, array);
-        } else {
-          make_resident(node, array);
-        }
-      }
-      drain_deferred(ns);
-    }
-    // Decode-deferred deliveries whose virtual decode finished.
-    for (auto it = arriving_.begin(); it != arriving_.end();) {
-      if (std::get<0>(*it) <= now_ + 1e-12) {
-        if (arrays_.at(std::get<2>(*it)).readers_remaining > 0) {
-          make_resident(std::get<1>(*it), std::get<2>(*it));
-        }
-        it = arriving_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (int n = 0; n < num_nodes_; ++n) {
-      auto& runs = running[static_cast<std::size_t>(n)];
-      for (std::size_t i = 0; i < runs.size();) {
-        if (std::get<2>(runs[i]) <= now_ + 1e-12) {
-          const auto [j, t, end] = runs[i];
-          runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(i));
-          finish_task(*nodes_[static_cast<std::size_t>(n)], ctxs[j], t);
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-
-  out.makespan = now_;
-  out.disk_bytes = metrics_.disk_bytes;
-  out.net_bytes = metrics_.net_bytes;
-  for (const FairShare& f : fair) out.starvation_overrides += f.starvation_overrides();
-  out.jobs.reserve(ctxs.size());
-  for (const Ctx& c : ctxs) {
-    SimJobMetrics jm;
-    jm.job = c.idx;
-    jm.arrival = c.spec->arrival;
-    jm.finish = c.finish;
-    jm.latency = c.finish - c.spec->arrival;
-    jm.total_flops = c.flops;
-    jm.tasks = c.tasks;
-    out.jobs.push_back(jm);
-  }
-  metrics_ = SimMetrics{};
-  return out;
 }
 
 }  // namespace dooc::sim

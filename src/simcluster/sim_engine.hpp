@@ -16,6 +16,10 @@
 //  * each node has a memory budget; durable arrays are reclaimed LRU,
 //    intermediates are freed when their last reader completes.
 //
+// One event loop (run_jobs) replays any number of jobs, with fair-share
+// fetch admission, fault injection, telemetry/watchdog ticks and
+// stragglers; run() is that loop with a single job.
+//
 // Used by the Table III / Table IV / Fig. 6 / Fig. 7 benches at paper scale
 // (terabyte matrices) which cannot physically exist in this repository.
 #pragma once
@@ -25,6 +29,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/fair_share.hpp"
 #include "fault/fault_plan.hpp"
@@ -35,7 +40,6 @@
 #include "sched/task.hpp"
 #include "simcluster/flow_network.hpp"
 #include "solver/array_creator.hpp"
-#include "storage/replication.hpp"
 
 namespace dooc::sim {
 
@@ -69,57 +73,68 @@ struct SimResources {
   int compute_slots = 2;
   int prefetch_window = 2;
   std::uint64_t seed = 42;
-  /// Per-node in-flight fetch budget for run_jobs: concurrent fetch bytes a
-  /// node admits, arbitrated WDRR across jobs by the same FairShare the
-  /// real storage layer uses (under virtual time). 0 = no budget (fetches
-  /// admit freely, as run() does). run() ignores this.
+  /// Per-node in-flight fetch budget: concurrent fetch bytes a node admits,
+  /// arbitrated WDRR across jobs by the same FairShare the real storage
+  /// layer uses (under virtual time). 0 = no budget (fetches admit freely).
   std::uint64_t inflight_load_budget = 0;
-  /// WDRR knobs for run_jobs (budget_bytes is overridden by
-  /// inflight_load_budget; starvation_ns counts virtual nanoseconds).
+  /// WDRR knobs (budget_bytes is overridden by inflight_load_budget;
+  /// starvation_ns counts virtual nanoseconds).
   FairShareConfig fair_share;
-  /// Live-telemetry replay under virtual time (run() only): when
-  /// telemetry.enabled, every node emits one TelemetryFrame per
-  /// telemetry.interval_ms of *virtual* time into a hub, and the same
-  /// Watchdog the coordinator runs is polled at each tick — so watchdog
-  /// thresholds and straggler verdicts are deterministically testable
-  /// (SimMetrics::health). Disabled by default; virtual makespans are
-  /// unchanged either way (telemetry charges no modeled cost).
+  /// Live-telemetry replay under virtual time: when telemetry.enabled,
+  /// every node emits one TelemetryFrame per telemetry.interval_ms of
+  /// *virtual* time into a hub, and the same Watchdog the coordinator runs
+  /// is polled at each tick — so watchdog thresholds and straggler verdicts
+  /// are deterministically testable (SimMetrics::health). Disabled by
+  /// default; virtual makespans are unchanged either way (telemetry charges
+  /// no modeled cost).
   obs::telemetry::TelemetryConfig telemetry;
-  /// Straggler injection for run(): per-node multiplier on every task
-  /// duration (e.g. {2, 10.0} makes node 2 ten times slower). Empty for
-  /// the calibrated paper-scale benches.
+  /// Straggler injection: per-node multiplier on every task duration (e.g.
+  /// {2, 10.0} makes node 2 ten times slower). Empty for the calibrated
+  /// paper-scale benches.
   std::map<int, double> node_compute_factor;
-  /// Missed-heartbeat drill for run(): the node stops emitting telemetry
-  /// frames after this many virtual seconds (the DES mirror of SIGSTOP —
-  /// the node keeps computing, only its heartbeats vanish).
+  /// Missed-heartbeat drill: the node stops emitting telemetry frames after
+  /// this many virtual seconds (the DES mirror of SIGSTOP — the node keeps
+  /// computing, only its heartbeats vanish).
   std::map<int, double> node_telemetry_mute_after;
-  /// Hot-block replication replay: the same decayed-frequency arithmetic
-  /// the real catalog runs (storage::replication::HeatTracker, access-count
-  /// driven so the replay is deterministic) classifies arrays as hot, and
-  /// eviction protects hot arrays 2Q-style — replica-local re-reads of the
-  /// hot set are charged at local (zero) cost instead of re-crossing GPFS.
-  /// Defaults to off, matching the real storage layer.
-  storage::ReplicationConfig replication;
+};
+
+/// One tenant of a DES replay (see SimEngine::run_jobs). The graph must be
+/// built, stay alive for the run, and not write any array another job
+/// writes (namespace per-job arrays, e.g. jobs::namespaced).
+struct SimJob {
+  const sched::TaskGraph* graph = nullptr;
+  double arrival = 0.0;  ///< virtual submit time, seconds
+  double weight = 1.0;   ///< fair-share weight for fetch admission
+  int priority = 0;      ///< strict between tiers, round-robin within one
+};
+
+/// Per-job outcome of a replay.
+struct SimJobMetrics {
+  std::uint32_t job = 0;   ///< index into the submitted vector
+  double arrival = 0.0;
+  double finish = 0.0;     ///< virtual completion time
+  double latency = 0.0;    ///< finish - arrival (queueing + service)
+  double total_flops = 0.0;
+  std::uint64_t tasks = 0;
 };
 
 struct SimMetrics {
-  double makespan = 0;
+  double makespan = 0;   ///< last job's finish
   double gpfs_busy = 0;  ///< seconds with at least one filesystem read active
   std::uint64_t disk_bytes = 0;
   std::uint64_t net_bytes = 0;
   double total_flops = 0;
   int nodes = 0;
   int cores_per_node = 8;
+  std::vector<SimJobMetrics> jobs;  ///< in submission order (one entry for run())
+  std::uint64_t deferred_fetches = 0;      ///< fetch admissions the WDRR arbiter queued
+  std::uint64_t starvation_overrides = 0;  ///< aging-guard grants across all nodes
   std::uint64_t fetch_faults = 0;   ///< injected fetch failures (incl. the final ones)
   std::uint64_t fetch_retries = 0;  ///< fetches re-issued after virtual-time backoff
   std::uint64_t tasks_faulted = 0;  ///< tasks settled as Faulted (incl. poisoned successors)
   /// Watchdog verdicts raised under virtual time (telemetry runs only).
   std::vector<obs::telemetry::HealthEvent> health;
   std::uint64_t telemetry_frames = 0;  ///< frames emitted into the virtual hub
-  // Replication replay counters (replication runs only; all deterministic).
-  std::uint64_t replica_hits = 0;     ///< task-input reads of a hot array
-  std::uint64_t hot_promotions = 0;   ///< arrays that crossed the hot threshold
-  std::uint64_t refetch_flows = 0;    ///< GPFS flows re-reading a previously resident array
 
   [[nodiscard]] double read_bandwidth() const {
     return gpfs_busy > 0 ? static_cast<double>(disk_bytes) / gpfs_busy : 0.0;
@@ -133,35 +148,6 @@ struct SimMetrics {
   [[nodiscard]] double cpu_hours_total() const {
     return static_cast<double>(nodes) * cores_per_node * makespan / 3600.0;
   }
-};
-
-/// One tenant of a multi-job DES replay (see SimEngine::run_jobs). The
-/// graph must be built, stay alive for the run, and not write any array
-/// another job writes (namespace per-job arrays, e.g. jobs::namespaced).
-struct SimJob {
-  const sched::TaskGraph* graph = nullptr;
-  double arrival = 0.0;  ///< virtual submit time, seconds
-  double weight = 1.0;   ///< fair-share weight for fetch admission
-  int priority = 0;      ///< strict between tiers, round-robin within one
-};
-
-/// Per-job outcome of a run_jobs replay.
-struct SimJobMetrics {
-  std::uint32_t job = 0;   ///< index into the submitted vector
-  double arrival = 0.0;
-  double finish = 0.0;     ///< virtual completion time
-  double latency = 0.0;    ///< finish - arrival (queueing + service)
-  double total_flops = 0.0;
-  std::uint64_t tasks = 0;
-};
-
-struct MultiJobMetrics {
-  std::vector<SimJobMetrics> jobs;
-  double makespan = 0.0;          ///< last finish
-  std::uint64_t disk_bytes = 0;
-  std::uint64_t net_bytes = 0;
-  std::uint64_t deferred_fetches = 0;   ///< fetch admissions the WDRR arbiter queued
-  std::uint64_t starvation_overrides = 0;  ///< aging-guard grants across all nodes
 
   /// Jain fairness index over per-job values ((Σx)² / (n·Σx²), 1 = fair).
   static double jain(const std::vector<double>& xs);
@@ -183,50 +169,51 @@ class SimEngine : private sched::ResidencyProbe {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Execute the graph under virtual time. Throws on deadlock (a task whose
-  /// inputs can never materialize).
+  /// Execute one graph under virtual time: run_jobs with a single job
+  /// arriving at t = 0. Throws on deadlock (a task whose inputs can never
+  /// materialize).
   SimMetrics run(const sched::TaskGraph& graph,
                  sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
 
-  /// Multi-tenant replay: execute N jobs concurrently under virtual time,
-  /// mirroring the multi-tenant engine — one ExecutorCore per job, shared
-  /// compute slots iterated priority-desc/round-robin, fetch admission
-  /// arbitrated per node by the same FairShare WDRR arbiter the real
-  /// storage layer runs (SimResources::inflight_load_budget). Jobs arrive
-  /// at their virtual arrival times. Deterministic for fixed inputs; the
-  /// fault plan is ignored on this path. Array read counts are pooled
-  /// across jobs, so read-shared (durable) arrays persist until their last
-  /// reader anywhere finishes.
-  MultiJobMetrics run_jobs(const std::vector<SimJob>& jobs,
-                           sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
+  /// Execute N jobs concurrently under virtual time, mirroring the
+  /// multi-tenant engine — one ExecutorCore per job, shared compute slots
+  /// iterated priority-desc/round-robin, fetch admission arbitrated per
+  /// node by the same FairShare WDRR arbiter the real storage layer runs
+  /// (SimResources::inflight_load_budget). Jobs arrive at their virtual
+  /// arrival times; the fault plan, telemetry and straggler settings apply
+  /// to every job. Deterministic for fixed inputs. Array read counts are
+  /// pooled across jobs, so read-shared (durable) arrays persist until
+  /// their last reader anywhere finishes.
+  SimMetrics run_jobs(const std::vector<SimJob>& jobs,
+                      sched::LocalPolicy policy = sched::LocalPolicy::DataAware);
 
   /// Replay a fault-injection schedule under virtual time: modeled fetches
   /// draw verdicts from the same FaultPlan the real storage layer consults
   /// (one op per completed fetch per node). Failed fetches re-issue after a
-  /// virtual backoff; past the retry budget their consumers retry / poison
-  /// through the shared ExecutorCore. During an outage window a node starts
-  /// no compute, issues no fetches and is skipped as a fetch source; its
-  /// op clock ticks once per stalled scheduling round, so outage windows
-  /// should be bounded (down=N@AFTER+OPS) or lifted via mark_up() — a
-  /// permanent outage with tasks assigned to the node deadlocks the DES.
-  /// Null (plus unset DOOC_FAULTS) disables injection.
+  /// virtual backoff; past the retry budget their consumers (in every job)
+  /// retry / poison through the shared ExecutorCore. During an outage
+  /// window a node starts no compute, issues no fetches and is skipped as a
+  /// fetch source; its op clock ticks once per stalled scheduling round, so
+  /// outage windows should be bounded (down=N@AFTER+OPS) or lifted via
+  /// mark_up() — a permanent outage with tasks assigned to the node
+  /// deadlocks the DES. Null (plus unset DOOC_FAULTS) disables injection.
   void set_fault_plan(std::shared_ptr<fault::FaultPlan> plan) { fault_plan_ = std::move(plan); }
 
  private:
   struct NodeState;
+  struct Job;
 
   /// Runtime state of one (virtual) array during a run.
   struct ArrayState {
     std::uint64_t bytes = 0;
     std::uint64_t stored = 0;  ///< on-disk codec-frame size (0 = raw)
-    int home = 0;
     bool durable = false;
     int readers_remaining = 0;
     std::set<int> resident_on;
     std::set<int> fetching_on;
   };
 
-  // ResidencyProbe (called by the core while picking/scoring candidates).
+  // ResidencyProbe (called by the cores while picking/scoring candidates).
   std::uint64_t resident_input_bytes(int node, const sched::Task& task) override;
   bool inputs_resident(int node, const sched::Task& task) override;
 
@@ -234,31 +221,35 @@ class SimEngine : private sched::ResidencyProbe {
   /// Modeled decompression latency for a stored-encoded array (0 when the
   /// array is raw or decode_rate is 0).
   [[nodiscard]] double decode_delay_s(const ArrayState& st) const;
+  /// Arrived and not yet settled.
+  [[nodiscard]] bool active(const Job& job) const;
+  /// Active jobs in scheduling order for `ns`.
+  [[nodiscard]] std::vector<Job*> job_order(const NodeState& ns);
+  /// Compute running, or an active job with tasks on the node.
+  [[nodiscard]] bool node_busy(const NodeState& ns) const;
   void schedule_node(NodeState& ns);
-  void ensure_fetch(NodeState& ns, const std::string& array);
-  /// Record one access in the replication heat counters (no-op when
-  /// replication is off) and count replica hits / promotions.
-  void record_heat(const std::string& array);
-  /// True when replication is on and the array's decayed heat has reached
-  /// the hot threshold (2Q protected segment).
-  [[nodiscard]] bool array_hot(const std::string& array) const;
+  /// Fair-share admission in front of start_fetch (the DES mirror of
+  /// StorageNode::schedule_fetch).
+  void fetch(NodeState& ns, const Job& job, const std::string& array);
+  /// Grant deferred fetches in WDRR order while the budget allows.
+  void drain_deferred(NodeState& ns);
+  /// Start the modeled transfer of `array` to `ns` if memory admission and
+  /// a live holder allow it. True when a flow started.
+  bool start_fetch(NodeState& ns, const std::string& array);
   void make_resident(int node, const std::string& array);
   void evict_for(NodeState& ns, std::uint64_t incoming);
-  void finish_task(NodeState& ns, sched::TaskId task);
+  void finish_task(NodeState& ns, Job& job, sched::TaskId task);
   void release_reader(const std::string& array);
   /// A fetch of `array` onto `node` failed past the retry budget: report it
-  /// to the core for every InputsPending consumer (retry or poison).
+  /// to each job's core for every InputsPending consumer (retry or poison).
   void fault_consumers(int node, const std::string& array);
 
   int num_nodes_;
   SimResources res_;
   std::map<std::string, solver::VirtualArray> meta_;
-  sched::LocalPolicy policy_ = sched::LocalPolicy::DataAware;
 
   // Per-run state.
-  const sched::TaskGraph* graph_ = nullptr;
-  std::vector<int> assignment_;
-  std::unique_ptr<sched::ExecutorCore> core_;
+  std::vector<Job> jobs_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::map<std::string, ArrayState> arrays_;
   FlowNetwork net_;
@@ -268,17 +259,13 @@ class SimEngine : private sched::ResidencyProbe {
   double now_ = 0;
   SimMetrics metrics_;
   std::shared_ptr<fault::FaultPlan> fault_plan_;
-  fault::FaultPlan* plan_ = nullptr;  ///< active plan during run() (may be from_env)
+  fault::FaultPlan* plan_ = nullptr;  ///< active plan during a run (may be from_env)
   std::map<std::pair<int, std::string>, int> fetch_failures_;
   /// Backoff gates: (node, array) may not re-fetch before this virtual time.
   std::map<std::pair<int, std::string>, double> blocked_until_;
-  /// Deferred residency from injected latency spikes: (when, node, array).
+  /// Deferred residency from decode latency or injected latency spikes:
+  /// (when, node, array).
   std::vector<std::tuple<double, int, std::string>> arriving_;
-  /// Replication replay state: decayed heat per array (shared arithmetic
-  /// with the real catalog), and which (node, array) pairs were ever
-  /// resident — a repeat GPFS fetch of one is a refetch_flow.
-  std::unique_ptr<storage::replication::HeatTracker> heat_;
-  std::set<std::pair<int, std::string>> ever_resident_;
   std::vector<ResourceId> gpfs_node_link_;
   ResourceId gpfs_aggregate_ = 0;
   std::vector<ResourceId> ib_egress_, ib_ingress_;

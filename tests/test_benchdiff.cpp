@@ -1,7 +1,7 @@
 // Tests for the bench regression gate: the JsonReport writer's
 // schema_version round-trip through the in-tree JSON parser, metric
-// direction classification, and diff_reports' regression verdicts —
-// including the file-level round-trip dooc_benchdiff performs.
+// direction classification, and diff_reports' regression and failed-gate
+// verdicts — including the file-level round-trip dooc_benchdiff performs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -152,6 +152,35 @@ TEST(BenchDiff, FileRoundTripMatchesInMemoryDiff) {
   const std::string table = bench::format_diff(result, 10.0);
   EXPECT_NE(table.find("REGRESSION"), std::string::npos);
   EXPECT_NE(table.find("name=spmv"), std::string::npos);
+}
+
+TEST(BenchDiff, TopLevelFailedGateFailsTheDiff) {
+  const std::string ok = R"({"schema_version": 2, "blame_shift_ok": 1, "records": []})";
+  const std::string failed = R"({"schema_version": 2, "blame_shift_ok": 0, "records": []})";
+  EXPECT_FALSE(bench::diff_reports(ok, ok, {}).regression);
+  // A failed baseline is no baseline, and a failed run is no pass — even
+  // when the two agree exactly.
+  const auto bad_baseline = bench::diff_reports(failed, ok, {});
+  EXPECT_TRUE(bad_baseline.regression);
+  ASSERT_EQ(bad_baseline.failed_gates.size(), 1u);
+  EXPECT_EQ(bad_baseline.failed_gates[0], "before: blame_shift_ok");
+  const auto bad_run = bench::diff_reports(failed, failed, {});
+  EXPECT_TRUE(bad_run.regression);
+  EXPECT_EQ(bad_run.failed_gates.size(), 2u);
+  EXPECT_NE(bench::format_diff(bad_run, 10.0).find("FAILED GATE"), std::string::npos);
+}
+
+TEST(BenchDiff, RecordFailedGateFailsTheDiffEvenWhenIgnored) {
+  const std::string ok = R"({"records": [{"scenario": "parity", "parity_ok": 1}]})";
+  const std::string failed = R"({"records": [{"scenario": "parity", "parity_ok": 0}]})";
+  bench::DiffOptions opts;
+  opts.ignore = {"parity_ok"};
+  opts.threshold_pct = 1000.0;
+  EXPECT_FALSE(bench::diff_reports(ok, ok, opts).regression);
+  const auto result = bench::diff_reports(ok, failed, opts);
+  EXPECT_TRUE(result.regression);
+  ASSERT_EQ(result.failed_gates.size(), 1u);
+  EXPECT_EQ(result.failed_gates[0], "after: [scenario=parity] parity_ok");
 }
 
 TEST(BenchDiff, MalformedInputThrows) {

@@ -349,11 +349,50 @@ sched::TaskGraph make_sim_job(int jid, int tasks, solver::VirtualArrayCreator& c
   return g;
 }
 
+/// Shared durable inputs for make_chain_job: one 1 MiB block per chain
+/// step on each of `nodes` nodes.
+void add_chain_inputs(solver::VirtualArrayCreator& creator, int nodes, int chain) {
+  for (int n = 0; n < nodes; ++n) {
+    for (int i = 0; i < chain; ++i) {
+      creator.add_durable("d" + std::to_string(n) + "_" + std::to_string(i), 1 << 20, n);
+    }
+  }
+}
+
+/// Per-node chains of job `jid`: `chain` tasks pinned to each node, each
+/// reading its shared durable block plus the previous link, 0.1 s of
+/// compute apiece at the default rate.
+sched::TaskGraph make_chain_job(int jid, int nodes, int chain,
+                                solver::VirtualArrayCreator& creator) {
+  const auto link = [&](int n, int i) {
+    return jobs::namespaced(static_cast<jobs::JobId>(jid),
+                            "c" + std::to_string(n) + "_" + std::to_string(i));
+  };
+  sched::TaskGraph g;
+  for (int n = 0; n < nodes; ++n) {
+    for (int i = 0; i < chain; ++i) {
+      sched::Task t;
+      t.name = link(n, i);
+      t.kind = "test";
+      t.inputs.push_back({"d" + std::to_string(n) + "_" + std::to_string(i), 0, 1 << 20});
+      if (i > 0) t.inputs.push_back({link(n, i - 1), 0, 8});
+      t.outputs.push_back({link(n, i), 0, 8});
+      creator.create(link(n, i), 8, n);
+      t.est_flops = 5e7;
+      t.seq = i;
+      t.preferred_node = n;
+      g.add(std::move(t));
+    }
+  }
+  g.build();
+  return g;
+}
+
 TEST(SimMultiJob, JainIndexComputesTheTextbookValues) {
-  using sim::MultiJobMetrics;
-  EXPECT_DOUBLE_EQ(MultiJobMetrics::jain({1.0, 1.0, 1.0}), 1.0);
-  EXPECT_NEAR(MultiJobMetrics::jain({3.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(MultiJobMetrics::jain({}), 1.0) << "no jobs: trivially fair";
+  using sim::SimMetrics;
+  EXPECT_DOUBLE_EQ(SimMetrics::jain({1.0, 1.0, 1.0}), 1.0);
+  EXPECT_NEAR(SimMetrics::jain({3.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(SimMetrics::jain({}), 1.0) << "no jobs: trivially fair";
 }
 
 TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
@@ -370,7 +409,7 @@ TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
   sim::SimResources res;
   res.inflight_load_budget = kArray;  // one fetch per node at a time
   sim::SimEngine sim(2, res, creator.arrays());
-  const sim::MultiJobMetrics m = sim.run_jobs(submit);
+  const sim::SimMetrics m = sim.run_jobs(submit);
 
   ASSERT_EQ(m.jobs.size(), 3u);
   std::vector<double> latencies;
@@ -381,7 +420,7 @@ TEST(SimMultiJob, EqualTenantsFinishFairlyUnderABudget) {
     latencies.push_back(j.latency);
   }
   EXPECT_GT(m.deferred_fetches, 0u) << "a one-fetch budget must queue someone";
-  EXPECT_GE(sim::MultiJobMetrics::jain(latencies), 0.9)
+  EXPECT_GE(sim::SimMetrics::jain(latencies), 0.9)
       << "equal-weight tenants at saturation share the budget fairly";
   EXPECT_GT(m.makespan, 0.0);
   EXPECT_GT(m.disk_bytes, 0u);
@@ -405,7 +444,7 @@ TEST(SimMultiJob, SustainedOverloadStillCompletesEveryJob) {
   sim::SimResources res;
   res.inflight_load_budget = kArray;
   sim::SimEngine sim(2, res, creator.arrays());
-  const sim::MultiJobMetrics m = sim.run_jobs(submit);
+  const sim::SimMetrics m = sim.run_jobs(submit);
 
   ASSERT_EQ(m.jobs.size(), 8u);
   for (const auto& j : m.jobs) {
@@ -415,6 +454,71 @@ TEST(SimMultiJob, SustainedOverloadStillCompletesEveryJob) {
   }
   EXPECT_GT(m.deferred_fetches, 0u);
   EXPECT_GT(m.makespan, 0.0);
+}
+
+TEST(SimMultiJob, FaultPlanReplaysAcrossJobsDeterministically) {
+  constexpr std::uint64_t kArray = 32ull << 20;
+  solver::VirtualArrayCreator creator;
+  for (int i = 0; i < 4; ++i) creator.add_durable("m" + std::to_string(i), kArray, i % 2);
+  std::deque<sched::TaskGraph> graphs;
+  std::vector<sim::SimJob> submit;
+  for (int j = 0; j < 2; ++j) {
+    graphs.push_back(make_sim_job(j, 6, creator, kArray));
+    submit.push_back({&graphs.back(), /*arrival=*/0.05 * j, /*weight=*/1.0, /*priority=*/0});
+  }
+
+  const auto run = [&] {
+    sim::SimEngine sim(2, sim::SimResources{}, creator.arrays());
+    // A fresh plan per run: its per-node op clocks are part of the replay.
+    sim.set_fault_plan(std::make_shared<fault::FaultPlan>(
+        fault::FaultPlan::parse("seed=5,read_error=0.3,retries=8")));
+    return sim.run_jobs(submit);
+  };
+  const sim::SimMetrics a = run();
+  EXPECT_GT(a.fetch_faults, 0u) << "30% read errors must fire on the multi-job path";
+  EXPECT_GT(a.fetch_retries, 0u);
+  EXPECT_EQ(a.tasks_faulted, 0u) << "an 8-attempt budget absorbs 30% transients";
+  ASSERT_EQ(a.jobs.size(), 2u);
+  for (const auto& j : a.jobs) {
+    EXPECT_EQ(j.tasks, 6u) << "job " << j.job << " must settle every task";
+    EXPECT_GT(j.latency, 0.0);
+  }
+
+  const sim::SimMetrics b = run();
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.fetch_faults, b.fetch_faults);
+  EXPECT_EQ(a.fetch_retries, b.fetch_retries);
+  EXPECT_EQ(a.disk_bytes, b.disk_bytes);
+  ASSERT_EQ(b.jobs.size(), 2u);
+  for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(a.jobs[j].finish, b.jobs[j].finish);
+}
+
+TEST(SimMultiJob, TelemetryFlagsAStragglerAcrossJobs) {
+  constexpr int kNodes = 4;
+  constexpr int kChain = 20;
+  solver::VirtualArrayCreator creator;
+  add_chain_inputs(creator, kNodes, kChain);
+  std::deque<sched::TaskGraph> graphs;
+  std::vector<sim::SimJob> submit;
+  for (int j = 0; j < 2; ++j) {
+    graphs.push_back(make_chain_job(j, kNodes, kChain, creator));
+    submit.push_back({&graphs.back(), /*arrival=*/0.0, /*weight=*/1.0, /*priority=*/0});
+  }
+
+  sim::SimResources res;
+  res.telemetry = obs::telemetry::TelemetryConfig::parse("on,interval=250,slow=4,zscore=100");
+  res.node_compute_factor[3] = 8.0;  // node 3 is 8x slower
+  sim::SimEngine sim(kNodes, res, creator.arrays());
+  const sim::SimMetrics m = sim.run_jobs(submit);
+
+  EXPECT_GT(m.telemetry_frames, 0u);
+  bool straggler3 = false;
+  for (const auto& ev : m.health) {
+    if (ev.kind == obs::telemetry::HealthKind::Straggler && ev.node == 3) straggler3 = true;
+  }
+  EXPECT_TRUE(straggler3) << "the 8x-slower node must be flagged while both jobs run";
+  ASSERT_EQ(m.jobs.size(), 2u);
+  for (const auto& j : m.jobs) EXPECT_EQ(j.tasks, static_cast<std::uint64_t>(kNodes * kChain));
 }
 
 }  // namespace

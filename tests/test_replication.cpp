@@ -1,7 +1,7 @@
 // Hot-block replication: config grammar, decayed heat arithmetic,
 // rendezvous replica ranking, 2Q eviction behavior, the end-to-end replica
-// flow through StorageCluster, write-once coherence on the resurrection
-// path, and the deterministic DES replay of the same policy.
+// flow through StorageCluster, and write-once coherence on the resurrection
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "simcluster/testbed.hpp"
 #include "storage/replication.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
@@ -308,44 +307,6 @@ TEST(Replication, ResurrectionInvalidatesReplicasEverywhere) {
   // The reader must see the re-produced bytes — a stale replica serving
   // 1.5 here is precisely the coherence bug this path guards against.
   EXPECT_DOUBLE_EQ(n1.request_read({"x", 0, 64}).get().as<double>()[0], 9.25);
-}
-
-// ---------------------------------------------------------------------------
-// DES replay
-// ---------------------------------------------------------------------------
-
-TEST(ReplicationSim, DeterministicAndNoSlowerThanBaseline) {
-  sim::TestbedExperiment e;
-  e.nodes = 1;
-
-  sim::SimResources off;
-  off.bw_noise = 0.0;  // isolate the eviction-policy change from noise draws
-  const auto base = sim::run_testbed(e, off);
-  EXPECT_EQ(base.metrics.replica_hits, 0u);
-  EXPECT_EQ(base.metrics.hot_promotions, 0u);
-  EXPECT_EQ(base.metrics.refetch_flows, 0u);
-
-  sim::SimResources on = off;
-  on.replication = ReplicationConfig::parse("on,hot_threshold=2,decay=1048576");
-  const auto r1 = sim::run_testbed(e, on);
-  const auto r2 = sim::run_testbed(e, on);
-
-  // Bitwise-deterministic replay: virtual epochs only, no wall clock.
-  EXPECT_EQ(r1.metrics.makespan, r2.metrics.makespan);
-  EXPECT_EQ(r1.metrics.replica_hits, r2.metrics.replica_hits);
-  EXPECT_EQ(r1.metrics.hot_promotions, r2.metrics.hot_promotions);
-  EXPECT_EQ(r1.metrics.refetch_flows, r2.metrics.refetch_flows);
-  EXPECT_EQ(r1.metrics.disk_bytes, r2.metrics.disk_bytes);
-
-  // 4 iterations over a 100 GB matrix against 20 GB of memory: blocks are
-  // re-read every sweep, so heat crosses the threshold and re-fetches of
-  // previously resident arrays are observed.
-  EXPECT_GT(r1.metrics.hot_promotions, 0u);
-  EXPECT_GT(r1.metrics.replica_hits, 0u);
-  EXPECT_GT(r1.metrics.refetch_flows, 0u);
-
-  // The frequency-aware policy must not regress the modeled makespan.
-  EXPECT_LE(r1.metrics.makespan, base.metrics.makespan * 1.001);
 }
 
 }  // namespace

@@ -270,30 +270,6 @@ TEST(Engine, TaskExceptionAbortsRunAndRethrows) {
   EXPECT_THROW(engine.run(g), std::runtime_error);
 }
 
-TEST(Engine, TraceRecordsEveryTask) {
-  testutil::TempDir dir("trace");
-  storage::StorageCluster cluster(1, engine_config(dir));
-  for (int i = 0; i < 4; ++i) {
-    cluster.node(0).create_array("t" + std::to_string(i), 8, 8);
-  }
-  TaskGraph g;
-  for (int i = 0; i < 4; ++i) {
-    Task t = make_task("task" + std::to_string(i), {}, {{"t" + std::to_string(i), 0, 8}});
-    t.group = 1;
-    t.seq = i;
-    t.work = [](TaskContext& ctx) { ctx.output(0).as<std::uint64_t>()[0] = 0; };
-    g.add(std::move(t));
-  }
-  g.build();
-  sched::Engine engine(cluster, {});
-  const Report report = engine.run(g);
-  ASSERT_EQ(report.trace.size(), 4u);
-  for (const auto& ev : report.trace) {
-    EXPECT_GE(ev.end, ev.start);
-    EXPECT_EQ(ev.node, 0);
-  }
-}
-
 TEST(Engine, FifoPolicyRunsInSubmissionOrderOnOneSlot) {
   testutil::TempDir dir("fifo");
   storage::StorageCluster cluster(1, engine_config(dir));

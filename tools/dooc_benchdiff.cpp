@@ -7,7 +7,9 @@
 // Direction (which way is "worse") is inferred from the metric name
 // (seconds/time → lower better, gflops/bandwidth → higher better) and can
 // be overridden per metric with --lower/--higher; unknown metrics are
-// reported but never gate. Exit codes: 0 ok, 1 regression, 2 usage/input.
+// reported but never gate. A numeric `*_ok` field equal to 0 in either
+// report (top-level or in a record) fails the diff. Exit codes: 0 ok,
+// 1 regression or failed gate, 2 usage/input.
 #include <cstdio>
 #include <exception>
 #include <string>
