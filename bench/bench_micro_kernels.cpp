@@ -18,8 +18,10 @@
 #include <numeric>
 
 #include "bench_util.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "simcluster/flow_network.hpp"
+#include "spmv/codec.hpp"
 #include "spmv/generator.hpp"
 #include "spmv/kernels.hpp"
 #include "spmv/partition.hpp"
@@ -386,6 +388,59 @@ void BM_StorageWriteSealRead(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_StorageWriteSealRead)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const bool clmul = state.range(1) != 0;
+  if (clmul && !common::detail::crc32_clmul_supported()) {
+    state.SkipWithError("this CPU lacks PCLMULQDQ/SSE4.1");
+    return;
+  }
+  std::vector<std::byte> buf(bytes);
+  SplitMix64 rng(7);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next());
+  for (auto _ : state) {
+    const std::uint32_t crc =
+        clmul ? common::detail::crc32_clmul(buf) : common::detail::crc32_table(buf);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)
+    ->ArgsProduct({{64, 4096, 1 << 20}, {0, 1}})
+    ->ArgNames({"bytes", "clmul"})
+    ->UseRealTime();
+
+/// One encoded power-law CSR block, the shape the codec stores on the
+/// storage fetch path (index streams as varints, values raw).
+struct CodecFrame {
+  std::vector<std::byte> bytes;
+  std::uint64_t raw_bytes = 0;
+};
+
+const CodecFrame& codec_frame() {
+  static const CodecFrame frame = [] {
+    std::vector<std::byte> raw;
+    spmv::serialize_csr(spmv::generate_power_law(1 << 16, 1 << 16, 7.0, 1.5, 0xc0de), raw);
+    const auto f = spmv::codec::encode_block(raw, spmv::codec::CodecConfig{spmv::codec::Mode::On});
+    return CodecFrame{{f->data(), f->data() + f->size()}, raw.size()};
+  }();
+  return frame;
+}
+
+void BM_CodecDecode(benchmark::State& state) {
+  const CodecFrame& frame = codec_frame();
+  for (auto _ : state) {
+    DataBuffer out = spmv::codec::decode_block(frame.bytes, frame.raw_bytes);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  // Raw bytes out, as perfbench's codec.decode_gbps counts them.
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.raw_bytes));
+}
+BENCHMARK(BM_CodecDecode)->UseRealTime();
 
 void BM_FlowNetworkRecompute(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));

@@ -32,6 +32,13 @@ class DataBuffer {
     bytes_ = std::shared_ptr<std::byte>(vec, vec->data());
   }
 
+  /// Allocate `size` bytes without initializing them, for a producer that
+  /// writes every byte before the buffer is read (the codec's decoder).
+  static DataBuffer for_overwrite(std::size_t size) {
+    std::shared_ptr<std::byte[]> mem = std::make_shared_for_overwrite<std::byte[]>(size);
+    return adopt(std::shared_ptr<std::byte>(mem, mem.get()), size);
+  }
+
   /// Adopt externally-owned memory (e.g. an aligned allocation from a
   /// buffer pool whose deleter returns it to the pool). `mem` must cover at
   /// least `size` bytes and stays alive as long as any aliasing handle.

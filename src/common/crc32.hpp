@@ -1,68 +1,39 @@
-// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
-// zlib polynomial, table-driven and constexpr-initialized. Shared by the
-// dooc::net frame layer and the spmv block codec so a payload checksummed
-// on one side of the wire verifies identically on the other.
-// crc32("123456789") == 0xCBF43926.
+// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF): the zlib
+// polynomial. crc32("123456789") == 0xCBF43926. The dooc::net frame layer
+// and the spmv block codec share it, so a payload checksummed on one side
+// of the wire verifies identically on the other.
 //
-// Slice-by-8: eight derived tables let the hot loop fold 8 input bytes per
-// iteration instead of one, which matters because the block codec CRCs
-// every frame twice (body + decoded payload) on the storage fetch path.
-// Little-endian only, like every other dooc byte layout (wire frames and
-// block formats carry an endian probe and reject foreign byte order).
+// The block codec checks every frame twice (body and decoded payload) on
+// the storage fetch path, so CRC throughput bounds decode throughput. Two
+// kernels compute the same value:
+//  * crc32_clmul (x86-64 with PCLMULQDQ and SSE4.1): folds four 128-bit
+//    lanes per 64-byte step with carry-less multiplies, then reduces to
+//    32 bits with a Barrett step (the zlib/Chromium crc32_simd method).
+//    Inputs under 64 bytes and the tail under 16 bytes go through
+//    slice-by-8.
+//  * crc32_table: portable slice-by-8, folding 8 bytes per step through
+//    eight derived 256-entry tables. Used on other hosts.
+// crc32() picks the carry-less kernel once per process when the CPU has
+// it; nothing is configured. Little-endian only, like every other dooc
+// byte layout (wire frames and block formats carry an endian probe and
+// reject foreign byte order).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 
 namespace dooc::common {
 
 namespace detail {
-constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    tables[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = tables[0][i];
-    for (std::size_t k = 1; k < 8; ++k) {
-      c = tables[0][c & 0xFFu] ^ (c >> 8);
-      tables[k][i] = c;
-    }
-  }
-  return tables;
-}
-inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables =
-    make_crc32_tables();
+/// Slice-by-8 kernel; any host, any length.
+[[nodiscard]] std::uint32_t crc32_table(std::span<const std::byte> bytes) noexcept;
+/// True when this CPU can run crc32_clmul (always false off x86-64).
+[[nodiscard]] bool crc32_clmul_supported() noexcept;
+/// Carry-less-multiply kernel. Call only when crc32_clmul_supported().
+[[nodiscard]] std::uint32_t crc32_clmul(std::span<const std::byte> bytes) noexcept;
 }  // namespace detail
 
-[[nodiscard]] inline std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
-  const auto& t = detail::kCrc32Tables;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const std::byte* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= 8) {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + 4, 4);
-    lo ^= crc;
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  for (; n > 0; ++p, --n) {
-    crc = t[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
+[[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
 
 }  // namespace dooc::common

@@ -84,7 +84,7 @@ struct Frame {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
-/// zlib polynomial, table-driven. crc32("123456789") == 0xCBF43926.
+/// zlib polynomial, common::crc32. crc32("123456789") == 0xCBF43926.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
 
 /// Serialize a header into its 32-byte wire form (little-endian fields).

@@ -297,7 +297,16 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
 
   GlobalScheduler global(cluster_.num_nodes(), config_.global_policy);
   CatalogLocator locator(&cluster_.catalog());
-  jr->assignment = global.assign(graph, locator);
+  {
+    // Wall-clock span, so it is emitted here and not inside assign(): the
+    // DES calls assign() too and stamps its traces in virtual time.
+    std::optional<obs::Span> span;
+    if (obs::trace_enabled()) {
+      span.emplace("sched", "global-assign", -1);
+      span->arg("tasks", graph.size());
+    }
+    jr->assignment = global.assign(graph, locator);
+  }
 
   CoreConfig core_config;
   core_config.policy = config_.local_policy;

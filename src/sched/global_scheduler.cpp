@@ -1,19 +1,11 @@
 #include "sched/global_scheduler.hpp"
 
-#include <optional>
-
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace dooc::sched {
 
 std::vector<int> GlobalScheduler::assign(const TaskGraph& graph, const DataLocator& locator) const {
   DOOC_REQUIRE(graph.built(), "assign() needs a built task graph");
-  std::optional<obs::Span> span;
-  if (obs::trace_enabled()) {
-    span.emplace("sched", "global-assign", -1);
-    span->arg("tasks", graph.size());
-  }
   std::vector<int> assignment(graph.size(), -1);
 
   std::size_t rr_next = 0;

@@ -1,9 +1,11 @@
 #include "spmv/codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -81,6 +83,72 @@ inline std::uint64_t get_varint_fast(const std::byte* body, std::uint64_t& pos) 
   throw CodecError("codec frame: overlong varint");
 }
 
+constexpr std::uint64_t kStopBits = 0x8080808080808080ull;
+
+/// Pack the 7-bit groups of an up-to-8-byte little-endian varint (bytes
+/// past its stop byte zeroed): the first step drops the continuation bits,
+/// and the three steps close the gaps between adjacent groups in 16-, 32-
+/// and 64-bit lanes.
+inline std::uint64_t compact7(std::uint64_t x) noexcept {
+  x = (x & 0x007F007F007F007Full) | ((x & 0x7F007F007F007F00ull) >> 1);
+  x = (x & 0x00003FFF00003FFFull) | ((x & 0x3FFF00003FFF0000ull) >> 2);
+  return (x & 0x000000000FFFFFFFull) | ((x & 0x0FFFFFFF00000000ull) >> 4);
+}
+
+/// Mask of the bytes of `w` up to and including the lowest stop byte
+/// marked in `stops` (nonzero).
+inline std::uint64_t through_lowest(std::uint64_t stops) noexcept {
+  return ((stops & (0 - stops)) << 1) - 1;
+}
+
+/// Decode `n` varints from body[pos, enc_end) and hand each to
+/// `emit(index, value)`. While 8 section bytes remain, one 8-byte load `w`
+/// yields the first two varints when both end inside it, else the first:
+/// the stop bytes are the set bits of `~w & kStopBits`, found by ctz.
+/// Taking every varint of the load instead makes the per-load count, and
+/// so the loop exit, unpredictable; on power-law column streams that ran
+/// slower than reading byte by byte. A varint longer than 8 bytes and
+/// the section's last 8 bytes go through get_varint_fast / get_varint,
+/// which own the truncated, overlong and overflow errors; a varint of at
+/// most 8 bytes that ends inside the section can raise none of them.
+template <typename Emit>
+void decode_varints(std::span<const std::byte> body, std::uint64_t& pos_io, std::uint64_t enc_end,
+                    std::uint64_t n, Emit&& emit) {
+  const std::byte* const base = body.data();
+  // A varint is at most 10 bytes: with that much headroom before enc_end
+  // the unchecked read cannot overrun the section.
+  const auto checked = [&](std::uint64_t& pos) {
+    return enc_end - pos >= 10 ? get_varint_fast(base, pos) : get_varint(body.first(enc_end), pos);
+  };
+  std::uint64_t pos = pos_io;
+  std::uint64_t i = 0;
+  while (i < n && enc_end - pos >= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, base + pos, 8);
+    std::uint64_t stops = ~w & kStopBits;
+    if (stops == 0) {
+      const std::uint64_t v = checked(pos);
+      emit(i++, v);
+      continue;
+    }
+    const int first_bits = std::countr_zero(stops) + 1;
+    int bits = first_bits;
+    emit(i++, compact7(w & through_lowest(stops)));
+    stops &= stops - 1;
+    if (stops != 0 && i < n) {
+      // first_bits <= 56 here: a second stop byte follows the first.
+      emit(i++, compact7((w & through_lowest(stops)) >> first_bits));
+      bits = std::countr_zero(stops) + 1;
+    }
+    pos += static_cast<std::uint64_t>(bits) / 8;
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t v = checked(pos);
+    emit(i, v);
+  }
+  pos_io = pos;
+}
+
 std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
 }
@@ -113,14 +181,8 @@ bool encode_delta_u64(std::span<const std::byte> raw, std::vector<std::byte>& ou
 void decode_delta_u64(std::span<const std::byte> body, std::uint64_t& pos, std::uint64_t enc_end,
                       std::byte* dst, std::uint64_t raw_len) {
   if (raw_len % 8 != 0) throw CodecError("codec frame: delta-u64 section not 8-byte multiple");
-  const std::uint64_t n = raw_len / 8;
   std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    // A varint is at most 10 bytes: with that much headroom before enc_end
-    // the unchecked read cannot overrun the section. The bounded tail read
-    // throws on any varint that would cross enc_end.
-    const std::uint64_t gap = enc_end - pos >= 10 ? get_varint_fast(body.data(), pos)
-                                                  : get_varint(body.first(enc_end), pos);
+  decode_varints(body, pos, enc_end, raw_len / 8, [&](std::uint64_t i, std::uint64_t gap) {
     std::uint64_t v;
     if (i == 0) {
       v = gap;
@@ -129,7 +191,7 @@ void decode_delta_u64(std::span<const std::byte> body, std::uint64_t& pos, std::
     }
     std::memcpy(dst + i * 8, &v, 8);
     prev = v;
-  }
+  });
 }
 
 /// u32 array (col_idx / perm, including pad words): zigzag varints of
@@ -149,11 +211,8 @@ void encode_zigzag_u32(std::span<const std::byte> raw, std::vector<std::byte>& o
 void decode_zigzag_u32(std::span<const std::byte> body, std::uint64_t& pos, std::uint64_t enc_end,
                        std::byte* dst, std::uint64_t raw_len) {
   if (raw_len % 4 != 0) throw CodecError("codec frame: zigzag-u32 section not 4-byte multiple");
-  const std::uint64_t n = raw_len / 4;
   std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t gap = enc_end - pos >= 10 ? get_varint_fast(body.data(), pos)
-                                                  : get_varint(body.first(enc_end), pos);
+  decode_varints(body, pos, enc_end, raw_len / 4, [&](std::uint64_t i, std::uint64_t gap) {
     // Wrapping unsigned add: a hostile delta near INT64_MAX/MIN must not hit
     // signed-overflow UB, and any out-of-range true sum lands outside
     // [0, 2^32) after the wrap, so the range check stays exact.
@@ -164,7 +223,7 @@ void decode_zigzag_u32(std::span<const std::byte> body, std::uint64_t& pos, std:
     const auto v = static_cast<std::uint32_t>(cur);
     std::memcpy(dst + i * 4, &v, 4);
     prev = cur;
-  }
+  });
 }
 
 /// f64 array: transpose into 8 byte planes (all byte-0s, then byte-1s, ...)
@@ -208,7 +267,8 @@ void encode_shuffle_rle(std::span<const std::byte> raw, std::vector<std::byte>& 
 void decode_shuffle_rle(std::span<const std::byte> body, std::uint64_t& pos, std::uint64_t enc_end,
                         std::byte* dst, std::uint64_t raw_len) {
   if (raw_len % 8 != 0) throw CodecError("codec frame: shuffle-rle section not 8-byte multiple");
-  std::vector<std::byte> planes(raw_len);
+  // Not zero-filled: the token loop exits only with filled == raw_len.
+  const auto planes = std::make_unique_for_overwrite<std::byte[]>(raw_len);
   std::uint64_t filled = 0;
   while (filled < raw_len) {
     if (pos >= enc_end) throw CodecError("codec frame: shuffle-rle section underruns");
@@ -217,21 +277,21 @@ void decode_shuffle_rle(std::span<const std::byte> body, std::uint64_t& pos, std
       const std::uint64_t take = c + 1u;
       if (pos + take > enc_end) throw CodecError("codec frame: shuffle-rle literal truncated");
       if (filled + take > raw_len) throw CodecError("codec frame: shuffle-rle overruns output");
-      std::memcpy(planes.data() + filled, body.data() + pos, take);
+      std::memcpy(planes.get() + filled, body.data() + pos, take);
       pos += take;
       filled += take;
     } else {
       if (pos >= enc_end) throw CodecError("codec frame: shuffle-rle run truncated");
       const std::uint64_t run = static_cast<std::uint64_t>(c - 128) + 3;
       if (filled + run > raw_len) throw CodecError("codec frame: shuffle-rle overruns output");
-      std::memset(planes.data() + filled, static_cast<int>(body[pos++]), run);
+      std::memset(planes.get() + filled, static_cast<int>(body[pos++]), run);
       filled += run;
     }
   }
   // Un-shuffle: gather one byte per plane and store the reassembled f64 as
   // a single 8-byte word (8 sequential read streams, 1 sequential write).
   const std::uint64_t n = raw_len / 8;
-  const std::byte* lane = planes.data();
+  const std::byte* lane = planes.get();
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t w = 0;
     for (std::uint64_t p = 0; p < 8; ++p) {
@@ -521,7 +581,9 @@ DataBuffer decode_block(std::span<const std::byte> bytes, std::uint64_t cap) {
   if (common::crc32(body) != h.body_crc) {
     throw CodecError("codec frame: body CRC mismatch (corrupt frame)");
   }
-  DataBuffer out(h.raw_bytes);
+  // Not zero-filled: the loop below exits only with filled == raw_bytes,
+  // and each section decoder writes all raw_len bytes it claims or throws.
+  DataBuffer out = DataBuffer::for_overwrite(h.raw_bytes);
   std::uint64_t pos = 0;
   std::uint64_t filled = 0;
   while (filled < h.raw_bytes) {

@@ -52,6 +52,9 @@ void serialize_csr(const CsrMatrix& m, std::vector<std::byte>& out) {
   out.resize(base + m.serialized_bytes());
   std::byte* p = out.data() + base;
   auto append = [&p](const void* src, std::size_t n) {
+    // An empty matrix's arrays may have a null data(); memcpy from null is
+    // undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(p, src, n);
     p += n;
   };

@@ -268,9 +268,8 @@ TEST(EngineCausal, EmitsLinkedFlowsAndYieldsACausalGraph) {
   EXPECT_LE(g.what_if("io", 0.0), g.makespan_us() + 1e-9);
 }
 
-TEST(SimCausal, VirtualTimeRunEmitsTheSameIdScheme) {
-  testutil::TempDir dir("causal_sim");
-  // Graph-only twin of the real run above (same names, same shape).
+/// Graph-only DES twin of run_real_engine (same names, same shape), traced.
+std::vector<obs::Event> run_traced_sim(const testutil::TempDir& dir) {
   storage::StorageConfig cfg;
   cfg.scratch_root = dir.str();
   storage::StorageCluster cluster(2, cfg);
@@ -296,8 +295,14 @@ TEST(SimCausal, VirtualTimeRunEmitsTheSameIdScheme) {
   obs::TraceSession::instance().start();
   sim::SimEngine sim(2, sim::SimResources{}, creator.arrays());
   const sim::SimMetrics metrics = sim.run(driver.graph(), sched::LocalPolicy::DataAware);
-  const std::vector<obs::Event> events = obs::TraceSession::instance().stop();
+  std::vector<obs::Event> events = obs::TraceSession::instance().stop();
   EXPECT_GT(metrics.makespan, 0.0);
+  return events;
+}
+
+TEST(SimCausal, VirtualTimeRunEmitsTheSameIdScheme) {
+  testutil::TempDir dir("causal_sim");
+  const std::vector<obs::Event> events = run_traced_sim(dir);
 
   const auto parsed = obs::parse_chrome_trace(obs::chrome_trace_json(events));
   std::set<std::uint64_t> dep_starts;
@@ -326,6 +331,17 @@ TEST(SimCausal, VirtualTimeRunEmitsTheSameIdScheme) {
   std::set_intersection(load_starts.begin(), load_starts.end(), real.load_starts.begin(),
                         real.load_starts.end(), std::inserter(common, common.begin()));
   EXPECT_FALSE(common.empty());
+}
+
+TEST(SimCausal, IdenticalRunsTraceIdenticalEvents) {
+  // Every DES event is stamped in virtual time, so two identical runs must
+  // export the same trace; one wall-clock span would make them differ.
+  testutil::TempDir dir_a("causal_sim_a");
+  testutil::TempDir dir_b("causal_sim_b");
+  const std::string a = obs::chrome_trace_json(run_traced_sim(dir_a));
+  const std::string b = obs::chrome_trace_json(run_traced_sim(dir_b));
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
 }
 
 // ---- trace-completeness metadata -------------------------------------------

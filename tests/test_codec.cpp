@@ -4,10 +4,13 @@
 //    specs;
 //  * round trip: every codec x format pair decodes bitwise-identically, on
 //    generated and edge-case matrices; non-matrix payloads travel raw;
+//  * CRC-32: the carry-less-multiply and slice-by-8 kernels agree with
+//    each other and with the standard check values;
 //  * hostile input: truncated frames, ratio-bomb headers (capped before any
 //    allocation), CRC mismatches and malformed section streams all surface
 //    as typed CodecError — including hand-forged frames whose CRCs are
-//    valid but whose varint streams are not;
+//    valid but whose varint streams are not (varints straddling a section
+//    end or a load window, long and overlong varints, seeded byte flips);
 //  * BufferPool: aligned, padded acquisitions; free-list reuse; bounded
 //    retention;
 //  * storage + engine: encoded blocks decode transparently on the fetch
@@ -26,6 +29,7 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/causal.hpp"
 #include "obs/trace.hpp"
@@ -215,6 +219,61 @@ TEST(CodecEstimate, PredictsAnIndexWinForClusteredColumns) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32 kernels
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next());
+  return out;
+}
+
+std::span<const std::byte> text_bytes(const std::string& s) {
+  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+}
+
+constexpr const char* kNoClmul = "this CPU lacks PCLMULQDQ/SSE4.1; only the slice-by-8 kernel runs";
+
+TEST(CodecCrc32, CheckValuesOnBothKernels) {
+  // 0xCBF43926 is the standard CRC-32 check value; the 144-byte input is
+  // long enough for the carry-less kernel's folding loop (zlib's value).
+  const std::string check = "123456789";
+  std::string longer;
+  for (int i = 0; i < 16; ++i) longer += check;
+  EXPECT_EQ(common::detail::crc32_table(text_bytes(check)), 0xCBF43926u);
+  EXPECT_EQ(common::detail::crc32_table(text_bytes(longer)), 0x045D0030u);
+  EXPECT_EQ(common::crc32(text_bytes(check)), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(text_bytes(longer)), 0x045D0030u);
+  EXPECT_EQ(common::crc32({}), 0u);
+  if (!common::detail::crc32_clmul_supported()) GTEST_SKIP() << kNoClmul;
+  EXPECT_EQ(common::detail::crc32_clmul(text_bytes(check)), 0xCBF43926u);
+  EXPECT_EQ(common::detail::crc32_clmul(text_bytes(longer)), 0x045D0030u);
+}
+
+TEST(CodecCrc32, ClmulMatchesTableOnEveryShortLengthAndOffset) {
+  if (!common::detail::crc32_clmul_supported()) GTEST_SKIP() << kNoClmul;
+  const std::vector<std::byte> buf = random_bytes(1024 + 16, 0xC7C);
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::byte> s(buf.data() + offset, len);
+      if (common::detail::crc32_clmul(s) != common::detail::crc32_table(s)) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+        if (++mismatches == 10) return;
+      }
+    }
+  }
+}
+
+TEST(CodecCrc32, ClmulMatchesTableOnAMultiMiBBuffer) {
+  if (!common::detail::crc32_clmul_supported()) GTEST_SKIP() << kNoClmul;
+  const std::vector<std::byte> buf = random_bytes((5u << 20) + 13, 0xB16);
+  EXPECT_EQ(common::detail::crc32_clmul(buf), common::detail::crc32_table(buf));
+  EXPECT_EQ(common::crc32(buf), common::detail::crc32_table(buf));
+}
+
+// ---------------------------------------------------------------------------
 // Hostile input
 // ---------------------------------------------------------------------------
 
@@ -371,6 +430,223 @@ TEST(CodecHostile, ProbeFrameValidatesTheWholeFile) {
   EXPECT_THROW((void)spmv::codec::probe_frame(head, frame.size() - 1, cap), CodecError);
   EXPECT_THROW((void)spmv::codec::probe_frame(head, frame.size() + 8, cap), CodecError);
   EXPECT_THROW((void)spmv::codec::probe_frame(head, frame.size(), 16), CodecError);
+}
+
+// --- varint section streams ------------------------------------------------
+//
+// Section layout (see codec.cpp): varint raw_len, one encoding byte, varint
+// enc_len, then enc_len bytes. Encoding 1 is delta-u64, 2 is zigzag-u32.
+
+constexpr std::byte kDeltaU64{1};
+constexpr std::byte kZigzagU32{2};
+
+void put_varint(std::vector<std::byte>& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
+  out.push_back(static_cast<std::byte>(v));
+}
+
+std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+
+/// One section: header, then `enc` as its encoded bytes.
+std::vector<std::byte> section(std::uint64_t raw_len, std::byte encoding,
+                               const std::vector<std::byte>& enc) {
+  std::vector<std::byte> out;
+  put_varint(out, raw_len);
+  out.push_back(encoding);
+  put_varint(out, enc.size());
+  out.insert(out.end(), enc.begin(), enc.end());
+  return out;
+}
+
+/// forge_frame with a valid decoded-payload CRC too, for bodies that
+/// should decode to `raw`.
+std::vector<std::byte> forge_valid_frame(const std::vector<std::byte>& body,
+                                         const std::vector<std::byte>& raw) {
+  std::vector<std::byte> frame = forge_frame(body, raw.size());
+  const std::uint64_t crc_word =
+      static_cast<std::uint64_t>(common::crc32({body.data(), body.size()})) |
+      (static_cast<std::uint64_t>(common::crc32({raw.data(), raw.size()})) << 32);
+  put_u64(frame, 40, crc_word);
+  return frame;
+}
+
+std::string decode_error(const std::vector<std::byte>& frame, std::uint64_t cap) {
+  try {
+    (void)spmv::codec::decode_block(frame, cap);
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(CodecHostile, VarintStraddlingTheSectionEndThrows) {
+  // A zigzag-u32 section of 33 values: 32 one-byte zeros, then a varint
+  // whose last k bytes before enc_end are continuation bytes and whose stop
+  // byte lies just past enc_end (inside the body). Reading that stop byte
+  // would cross the section, so every k must throw from the varint reader.
+  for (std::size_t k = 1; k <= 16; ++k) {
+    std::vector<std::byte> enc(32, std::byte{0});
+    enc.insert(enc.end(), k, std::byte{0x80});
+    std::vector<std::byte> body = section(33 * 4, kZigzagU32, enc);
+    body.push_back(std::byte{0x01});
+    body.insert(body.end(), 15, std::byte{0});
+    const std::string err = decode_error(forge_frame(body, 33 * 4), 33 * 4);
+    EXPECT_NE(err.find(k <= 9 ? "truncated varint" : "varint"), std::string::npos)
+        << "k=" << k << ": " << err;
+  }
+}
+
+TEST(CodecHostile, LongVarintsMidStreamRoundTrip) {
+  // delta-u64: real 6..10-byte gaps between one-byte gaps.
+  std::vector<std::uint64_t> gaps = {5};
+  for (const int bit : {35, 42, 49, 56, 63}) {
+    gaps.push_back(1ull << bit);
+    gaps.push_back(3);
+  }
+  gaps.insert(gaps.end(), 20, 1);
+  std::vector<std::byte> raw;
+  std::vector<std::byte> enc;
+  std::uint64_t v = 0;
+  for (const std::uint64_t g : gaps) {
+    v += g;
+    put_varint(enc, g);
+    raw.resize(raw.size() + 8);
+    std::memcpy(raw.data() + raw.size() - 8, &v, 8);
+  }
+  std::vector<std::byte> body = section(raw.size(), kDeltaU64, enc);
+
+  // zigzag-u32: non-canonical 1..10-byte encodings of +1 (zero groups
+  // padded with continuation bits), mid-stream between one-byte values.
+  std::vector<std::byte> zz;
+  std::uint32_t u = 0;
+  std::vector<std::byte> raw32;
+  const auto push32 = [&](std::uint32_t x) {
+    raw32.resize(raw32.size() + 4);
+    std::memcpy(raw32.data() + raw32.size() - 4, &x, 4);
+  };
+  for (int width = 1; width <= 10; ++width) {
+    zz.push_back(static_cast<std::byte>(width == 1 ? 0x02 : 0x82));  // zigzag(+1) = 2
+    for (int b = 2; b < width; ++b) zz.push_back(std::byte{0x80});
+    if (width > 1) zz.push_back(std::byte{0x00});
+    push32(++u);
+    zz.push_back(std::byte{0x00});  // delta 0
+    push32(u);
+  }
+  zz.insert(zz.end(), 16, std::byte{0x00});
+  for (int i = 0; i < 16; ++i) push32(u);
+  const std::vector<std::byte> second = section(raw32.size(), kZigzagU32, zz);
+  body.insert(body.end(), second.begin(), second.end());
+  raw.insert(raw.end(), raw32.begin(), raw32.end());
+
+  const DataBuffer out = spmv::codec::decode_block(forge_valid_frame(body, raw), raw.size());
+  ASSERT_EQ(out.size(), raw.size());
+  EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
+}
+
+TEST(CodecHostile, ElevenByteVarintMidStreamThrows) {
+  std::vector<std::byte> enc(20, std::byte{0});
+  enc.insert(enc.end(), 10, std::byte{0x80});
+  enc.push_back(std::byte{0x00});
+  enc.insert(enc.end(), 20, std::byte{0});
+  const std::vector<std::byte> body = section(41 * 4, kZigzagU32, enc);
+  const std::string err = decode_error(forge_frame(body, 41 * 4), 41 * 4);
+  EXPECT_NE(err.find("varint"), std::string::npos) << err;
+}
+
+TEST(CodecHostile, OutOfRangeU32AtAWindowBoundaryThrows) {
+  // After `lead` one-byte zeros, a value below zero (zigzag(-1), one byte)
+  // or at 2^32 (zigzag(2^32), five bytes): placed to end on an 8-byte
+  // boundary, to start on one, and to straddle one.
+  const std::vector<std::vector<std::byte>> bad = {
+      {std::byte{0x01}},
+      {std::byte{0x80}, std::byte{0x80}, std::byte{0x80}, std::byte{0x80}, std::byte{0x20}}};
+  for (const auto& b : bad) {
+    for (const std::size_t lead : {std::size_t{7}, std::size_t{8}, std::size_t{8 - b.size()},
+                                   std::size_t{6}, std::size_t{15}}) {
+      std::vector<std::byte> enc(lead, std::byte{0});
+      enc.insert(enc.end(), b.begin(), b.end());
+      enc.insert(enc.end(), 24, std::byte{0});
+      const std::uint64_t raw_len = (lead + 1 + 24) * 4;
+      const std::string err =
+          decode_error(forge_frame(section(raw_len, kZigzagU32, enc), raw_len), raw_len);
+      EXPECT_NE(err.find("out of range"), std::string::npos)
+          << "lead=" << lead << " width=" << b.size() << ": " << err;
+    }
+  }
+}
+
+TEST(CodecHostile, VarintsPastTheDeclaredCountAreNotDecoded) {
+  // Three values declared, but the section carries more bytes: a fourth
+  // varint that would be out of range, then padding. The decoder must stop
+  // after the third value and report the length mismatch, never decode
+  // (or store) a value past the declared count.
+  std::vector<std::byte> enc = {std::byte{0}, std::byte{0}, std::byte{0}, std::byte{0x01}};
+  enc.insert(enc.end(), 12, std::byte{0});
+  const std::string err = decode_error(forge_frame(section(3 * 4, kZigzagU32, enc), 3 * 4), 3 * 4);
+  EXPECT_NE(err.find("section length mismatch"), std::string::npos) << err;
+}
+
+TEST(CodecHostile, RandomU32GapsOfEveryWidthRoundTrip) {
+  SplitMix64 rng(0x5EED);
+  std::vector<std::byte> raw;
+  std::vector<std::byte> enc;
+  std::int64_t prev = 0;
+  std::uint64_t widths[6] = {};
+  for (int i = 0; i < 20000; ++i) {
+    // Mask to a random bit count so zigzag deltas span 1..5 varint bytes.
+    const auto v = static_cast<std::uint32_t>(rng.next() & ((1ull << rng.next_in(0, 32)) - 1));
+    const std::uint64_t z = zigzag(static_cast<std::int64_t>(v) - prev);
+    const std::size_t before = enc.size();
+    put_varint(enc, z);
+    ++widths[enc.size() - before];
+    prev = v;
+    raw.resize(raw.size() + 4);
+    std::memcpy(raw.data() + raw.size() - 4, &v, 4);
+  }
+  for (int w = 1; w <= 5; ++w) EXPECT_GT(widths[w], 0u) << "no " << w << "-byte varint";
+  const std::vector<std::byte> body = section(raw.size(), kZigzagU32, enc);
+  const DataBuffer out = spmv::codec::decode_block(forge_valid_frame(body, raw), raw.size());
+  ASSERT_EQ(out.size(), raw.size());
+  EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
+}
+
+TEST(CodecHostile, SeededByteFlipsThrowOrDecodeTheOriginal) {
+  // Even iterations flip bytes anywhere in the frame (the CRCs must catch
+  // it); odd ones flip body bytes and re-forge the body CRC, so the
+  // section parser itself sees the damage. Either a typed error or the
+  // original bytes: never a crash, a hang or different bytes.
+  std::vector<std::byte> raw;
+  const std::vector<std::byte> frame = valid_frame(&raw);
+  const std::size_t header = spmv::codec::kCodecHeaderBytes;
+  SplitMix64 rng(0xF11B);
+  int threw = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<std::byte> bad = frame;
+    const bool reforge = iter % 2 == 1;
+    const std::size_t lo = reforge ? header : 0;
+    const std::uint64_t flips = rng.next_in(1, 4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      bad[lo + rng.next_below(bad.size() - lo)] ^=
+          static_cast<std::byte>(rng.next_in(1, 255));
+    }
+    if (reforge) {
+      std::uint64_t crc_word;
+      std::memcpy(&crc_word, bad.data() + 40, 8);
+      crc_word = (crc_word & ~0xFFFFFFFFull) |
+                 common::crc32({bad.data() + header, bad.size() - header});
+      put_u64(bad, 40, crc_word);
+    }
+    try {
+      const DataBuffer out = spmv::codec::decode_block(bad, raw.size());
+      ASSERT_EQ(out.size(), raw.size()) << "iteration " << iter;
+      ASSERT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0) << "iteration " << iter;
+    } catch (const CodecError&) {
+      ++threw;
+    }
+  }
+  EXPECT_GT(threw, 1000);
 }
 
 // ---------------------------------------------------------------------------
