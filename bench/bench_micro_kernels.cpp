@@ -13,12 +13,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
 
 #include "bench_util.hpp"
 #include "common/crc32.hpp"
+#include "common/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "simcluster/flow_network.hpp"
 #include "spmv/codec.hpp"
@@ -412,27 +414,41 @@ BENCHMARK(BM_Crc32)
     ->ArgNames({"bytes", "clmul"})
     ->UseRealTime();
 
-/// One encoded power-law CSR block, the shape the codec stores on the
-/// storage fetch path (index streams as varints, values raw).
+/// One encoded power-law block per value encoding the codec picks: CSR,
+/// the shape stored on the storage fetch path (index streams as varints,
+/// values raw), and SELL, whose zero padding makes the byte-shuffle + RLE
+/// value pass pay.
 struct CodecFrame {
   std::vector<std::byte> bytes;
   std::uint64_t raw_bytes = 0;
 };
 
-const CodecFrame& codec_frame() {
-  static const CodecFrame frame = [] {
-    std::vector<std::byte> raw;
-    spmv::serialize_csr(spmv::generate_power_law(1 << 16, 1 << 16, 7.0, 1.5, 0xc0de), raw);
-    const auto f = spmv::codec::encode_block(raw, spmv::codec::CodecConfig{spmv::codec::Mode::On});
-    return CodecFrame{{f->data(), f->data() + f->size()}, raw.size()};
+const CodecFrame& codec_frame(bool shuffled_values) {
+  static const auto frames = [] {
+    std::array<CodecFrame, 2> out;
+    std::vector<std::byte> csr;
+    spmv::serialize_csr(spmv::generate_power_law(1 << 16, 1 << 16, 7.0, 1.5, 0xc0de), csr);
+    std::vector<std::byte> sell;
+    spmv::serialize_sell(spmv::build_sell(spmv::CsrView::from_bytes(csr), 8, 64), sell);
+    for (const bool shuffle : {false, true}) {
+      const std::vector<std::byte>& raw = shuffle ? sell : csr;
+      const auto f = spmv::codec::encode_block(raw, spmv::codec::CodecConfig{spmv::codec::Mode::On});
+      out[shuffle ? 1 : 0] = CodecFrame{{f->data(), f->data() + f->size()}, raw.size()};
+    }
+    return out;
   }();
-  return frame;
+  return frames[shuffled_values ? 1 : 0];
 }
 
+/// Decode one frame, on the calling thread alone (pooled = 0) or with
+/// hardware_concurrency() - 1 helpers, as a StorageNode with the codec on
+/// decodes on its fetcher thread.
 void BM_CodecDecode(benchmark::State& state) {
-  const CodecFrame& frame = codec_frame();
+  const CodecFrame& frame = codec_frame(state.range(0) != 0);
+  static ThreadPool helpers(std::max(std::thread::hardware_concurrency(), 2u) - 1);
+  ThreadPool* pool = state.range(1) != 0 ? &helpers : nullptr;
   for (auto _ : state) {
-    DataBuffer out = spmv::codec::decode_block(frame.bytes, frame.raw_bytes);
+    DataBuffer out = spmv::codec::decode_block(frame.bytes, frame.raw_bytes, pool);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -440,7 +456,10 @@ void BM_CodecDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(frame.raw_bytes));
 }
-BENCHMARK(BM_CodecDecode)->UseRealTime();
+BENCHMARK(BM_CodecDecode)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"shuffled", "pooled"})
+    ->UseRealTime();
 
 void BM_FlowNetworkRecompute(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));

@@ -32,6 +32,37 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> make_tables() {
 
 constexpr std::array<std::array<std::uint32_t, 256>, 8> kTables = make_tables();
 
+// Polynomials mod P in the reflected bit order of the table kernel: the
+// coefficient of x^0 is bit 31, so x^0 is 1 << 31 and x^1 is 1 << 30.
+constexpr std::uint32_t kPolyReflected = 0xEDB88320u;
+
+/// a(x) * b(x) mod P(x), bit-serially over a's set coefficients.
+constexpr std::uint32_t mul_mod_p(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; a != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+      a ^= m;
+    }
+    b = (b & 1u) != 0 ? (b >> 1) ^ kPolyReflected : b >> 1;
+  }
+  return product;
+}
+
+/// kPow2k[k] = x^(2^k) mod P. P is primitive, so x^(2^32) = x and the
+/// powers repeat with period 32.
+constexpr std::array<std::uint32_t, 32> make_pow2k() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  for (auto& e : t) {
+    e = p;
+    p = mul_mod_p(p, p);
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 32> kPow2k = make_pow2k();
+
 /// Slice-by-8 over `n` bytes, continuing the (pre-inverted) running `crc`.
 std::uint32_t table_update(std::uint32_t crc, const std::byte* p, std::size_t n) noexcept {
   const auto& t = kTables;
@@ -152,6 +183,23 @@ std::uint32_t crc32_clmul(std::span<const std::byte> bytes) noexcept {
 std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
   static const bool use_clmul = detail::crc32_clmul_supported();
   return use_clmul ? detail::crc32_clmul(bytes) : detail::crc32_table(bytes);
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) noexcept {
+  // crc(A || B) = crc(A) * x^(8 len_b) + crc(B) mod P: the init and xorout
+  // terms of the two CRCs cancel. A short B multiplies by x^8 per byte
+  // through the table (a CRC step over a zero byte); a longer one builds
+  // the shift from the binary digits of len_b, from x^(2^3) for one byte.
+  if (len_b < 64) {
+    for (; len_b != 0; --len_b) crc_a = kTables[0][crc_a & 0xFFu] ^ (crc_a >> 8);
+    return crc_a ^ crc_b;
+  }
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1u) != 0) shift = mul_mod_p(kPow2k[k & 31u], shift);
+  }
+  return mul_mod_p(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace dooc::common

@@ -14,7 +14,11 @@
 //  * crc32_table: portable slice-by-8, folding 8 bytes per step through
 //    eight derived 256-entry tables. Used on other hosts.
 // crc32() picks the carry-less kernel once per process when the CPU has
-// it; nothing is configured. Little-endian only, like every other dooc
+// it; nothing is configured.
+//
+// crc32_combine joins the CRCs of two adjacent byte ranges without reading
+// the bytes again, so pieces of one buffer can be checksummed on different
+// threads and folded in order. Little-endian only, like every other dooc
 // byte layout (wire frames and block formats carry an endian probe and
 // reject foreign byte order).
 #pragma once
@@ -35,5 +39,10 @@ namespace detail {
 }  // namespace detail
 
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
+
+/// CRC-32 of A followed by B, given crc32(A), crc32(B) and B's length.
+/// O(log len_b) carry-less products mod P; len_b == 0 returns crc_a.
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                          std::uint64_t len_b) noexcept;
 
 }  // namespace dooc::common

@@ -14,7 +14,9 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { shutdown(); }
+
+void ThreadPool::shutdown() {
   jobs_.close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
@@ -22,21 +24,24 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> job) {
-  Job j;
-  j.run = std::move(job);
-  std::future<void> fut = j.done.get_future();
+  Job j{std::move(job), std::promise<void>{}};
+  std::future<void> fut = j.done->get_future();
   const bool pushed = jobs_.push(std::move(j));
   DOOC_REQUIRE(pushed, "submit on a shut-down thread pool");
   return fut;
+}
+
+bool ThreadPool::post(std::function<void()> job) {
+  return jobs_.push(Job{std::move(job), std::nullopt});
 }
 
 void ThreadPool::worker_loop() {
   while (auto job = jobs_.pop()) {
     try {
       job->run();
-      job->done.set_value();
+      if (job->done) job->done->set_value();
     } catch (...) {
-      job->done.set_exception(std::current_exception());
+      if (job->done) job->done->set_exception(std::current_exception());
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,15 @@ class ThreadPool {
   /// Enqueue a job; the future resolves when it finishes (or rethrows).
   std::future<void> submit(std::function<void()> job);
 
+  /// Enqueue a fire-and-forget job. Returns false, dropping the job, once
+  /// shutdown() has begun. An exception escaping the job is discarded.
+  bool post(std::function<void()> job);
+
+  /// Stop accepting jobs, run the ones already queued, and join the
+  /// workers. Idempotent, but not for concurrent callers; the destructor
+  /// calls it.
+  void shutdown();
+
   /// Run `body(i)` for i in [0, count) across the pool and wait. `body`
   /// must be safe to call concurrently for distinct indices.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
@@ -37,7 +47,7 @@ class ThreadPool {
  private:
   struct Job {
     std::function<void()> run;
-    std::promise<void> done;
+    std::optional<std::promise<void>> done;  ///< empty for post()
   };
 
   void worker_loop();

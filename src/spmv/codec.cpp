@@ -1,14 +1,20 @@
 #include "spmv/codec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/thread_pool.hpp"
 #include "spmv/csr.hpp"
 #include "spmv/sell.hpp"
 #include "spmv/wire.hpp"
@@ -353,6 +359,24 @@ bool plan_sections(std::span<const std::byte> raw, std::vector<SectionPlan>& pla
   return false;
 }
 
+/// Cut every planned section into pieces of at most kMaxSectionRaw raw
+/// bytes. Each piece is encoded on its own (delta and zigzag restart at 0),
+/// so the pieces of one frame decode on different threads. Empty sections
+/// (empty blocks have no col_idx/values) yield no piece: they would sit
+/// after the decoder's fill loop has already reached raw_bytes.
+std::vector<SectionPlan> cut_sections(const std::vector<SectionPlan>& plan) {
+  std::vector<SectionPlan> pieces;
+  for (const SectionPlan& s : plan) {
+    for (std::uint64_t at = 0; at < s.length; at += kMaxSectionRaw) {
+      SectionPlan piece = s;
+      piece.offset += at;
+      piece.length = std::min(kMaxSectionRaw, s.length - at);
+      pieces.push_back(piece);
+    }
+  }
+  return pieces;
+}
+
 }  // namespace
 
 const char* mode_name(Mode m) noexcept {
@@ -514,11 +538,7 @@ std::optional<DataBuffer> encode_block(std::span<const std::byte> raw, const Cod
   body.reserve(raw.size() / 2);
   std::vector<std::byte> scratch;
   std::uint64_t flags = format_tag << kFormatShift;
-  for (const SectionPlan& s : plan) {
-    // Zero-length sections (empty blocks have no col_idx/values) would sit
-    // after the decoder's fill loop has already reached raw_bytes — emit
-    // nothing for them.
-    if (s.length == 0) continue;
+  for (const SectionPlan& s : cut_sections(plan)) {
     const auto raw_section = raw.subspan(s.offset, s.length);
     scratch.clear();
     std::uint8_t encoding = kSectionRaw;
@@ -575,56 +595,209 @@ std::optional<DataBuffer> encode_block(std::span<const std::byte> raw, const Cod
   return frame;
 }
 
-DataBuffer decode_block(std::span<const std::byte> bytes, std::uint64_t cap) {
-  const FrameHeader h = parse_header(bytes, cap);
-  const auto body = bytes.subspan(kCodecHeaderBytes, h.body_bytes);
-  if (common::crc32(body) != h.body_crc) {
-    throw CodecError("codec frame: body CRC mismatch (corrupt frame)");
-  }
-  // Not zero-filled: the loop below exits only with filled == raw_bytes,
-  // and each section decoder writes all raw_len bytes it claims or throws.
-  DataBuffer out = DataBuffer::for_overwrite(h.raw_bytes);
-  std::uint64_t pos = 0;
-  std::uint64_t filled = 0;
-  while (filled < h.raw_bytes) {
-    const std::uint64_t raw_len = get_varint(body, pos);
-    if (pos >= body.size()) throw CodecError("codec frame: truncated section header");
-    const auto encoding = static_cast<std::uint8_t>(body[pos++]);
-    const std::uint64_t enc_len = get_varint(body, pos);
-    std::uint64_t enc_end;
-    if (!wire::checked_add(pos, enc_len, enc_end) || enc_end > body.size()) {
-      throw CodecError("codec frame: section overruns body");
-    }
-    std::uint64_t next_filled;
-    if (!wire::checked_add(filled, raw_len, next_filled) || next_filled > h.raw_bytes) {
-      throw CodecError("codec frame: sections exceed declared decoded size");
-    }
-    std::byte* dst = out.data() + filled;
-    switch (encoding) {
-      case kSectionRaw:
-        if (enc_len != raw_len) throw CodecError("codec frame: raw section length mismatch");
-        std::memcpy(dst, body.data() + pos, raw_len);
-        pos = enc_end;
-        break;
+namespace {
+
+/// One section of a frame body: located by the header walk, then decoded
+/// by whichever thread claims it.
+struct Section {
+  std::uint64_t head = 0;       ///< body offset of the section header
+  std::uint64_t enc_begin = 0;  ///< body offset of the encoded bytes
+  std::uint64_t enc_end = 0;
+  std::uint64_t out = 0;  ///< offset of its bytes in the decoded payload
+  std::uint64_t raw_len = 0;
+  std::uint8_t encoding = kSectionRaw;
+  std::uint32_t body_crc = 0;  ///< CRC-32 of body[head, enc_end)
+  std::uint32_t raw_crc = 0;   ///< CRC-32 of its decoded bytes
+  std::exception_ptr error;
+};
+
+/// Sections walked and decoded per round: bounds the section directory,
+/// however many sections a (hostile) body declares.
+constexpr std::size_t kBatchSections = 64;
+
+/// Up to kBatchSections sections that the caller and its helpers decode
+/// together, claiming them by index.
+struct Batch {
+  std::span<const std::byte> body;
+  std::byte* out = nullptr;
+  std::array<Section, kBatchSections> sections;
+  std::size_t count = 0;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed section
+  std::atomic<std::size_t> done{0};  ///< sections decoded (or failed)
+};
+
+/// What the helper jobs of one decode_block call share. They hold it by
+/// shared_ptr: a helper that starts after its call moved on finds the
+/// current batch fully claimed and returns without touching the frame.
+struct Crew {
+  std::mutex mutex;
+  std::shared_ptr<Batch> batch;  ///< guarded by mutex
+  std::atomic<std::size_t> queued{0};  ///< posted helper jobs not yet started
+};
+
+/// Decode one section into out[s.out, s.out + s.raw_len) and compute its
+/// two CRCs; any failure lands in s.error.
+void decode_section(std::span<const std::byte> body, std::byte* out, Section& s) noexcept {
+  try {
+    std::byte* dst = out + s.out;
+    std::uint64_t pos = s.enc_begin;
+    switch (s.encoding) {
+      case kSectionRaw: {
+        if (s.enc_end - s.enc_begin != s.raw_len) {
+          throw CodecError("codec frame: raw section length mismatch");
+        }
+        std::memcpy(dst, body.data() + pos, s.raw_len);
+        // The decoded bytes are the encoded ones: one CRC pass serves both.
+        const auto head = body.subspan(s.head, s.enc_begin - s.head);
+        s.raw_crc = common::crc32(body.subspan(pos, s.raw_len));
+        s.body_crc = common::crc32_combine(common::crc32(head), s.raw_crc, s.raw_len);
+        return;
+      }
       case kSectionDeltaU64:
-        decode_delta_u64(body, pos, enc_end, dst, raw_len);
+        decode_delta_u64(body, pos, s.enc_end, dst, s.raw_len);
         break;
       case kSectionZigzagU32:
-        decode_zigzag_u32(body, pos, enc_end, dst, raw_len);
+        decode_zigzag_u32(body, pos, s.enc_end, dst, s.raw_len);
         break;
       case kSectionShuffleRle:
-        decode_shuffle_rle(body, pos, enc_end, dst, raw_len);
+        decode_shuffle_rle(body, pos, s.enc_end, dst, s.raw_len);
         break;
       default:
-        throw CodecError("codec frame: unknown section encoding " + std::to_string(encoding));
+        throw CodecError("codec frame: unknown section encoding " + std::to_string(s.encoding));
     }
-    if (pos != enc_end) throw CodecError("codec frame: section length mismatch");
-    filled = next_filled;
+    if (pos != s.enc_end) throw CodecError("codec frame: section length mismatch");
+    s.raw_crc = common::crc32({dst, s.raw_len});
+    s.body_crc = common::crc32(body.subspan(s.head, s.enc_end - s.head));
+  } catch (...) {
+    s.error = std::current_exception();
   }
-  if (pos != body.size()) throw CodecError("codec frame: trailing bytes after last section");
-  if (common::crc32(out.span()) != h.raw_crc) {
-    throw CodecError("codec frame: decoded payload CRC mismatch");
+}
+
+/// Claim and decode sections of `b` until none is left.
+void run_claims(Batch& b) noexcept {
+  for (std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed); i < b.count;
+       i = b.next.fetch_add(1, std::memory_order_relaxed)) {
+    decode_section(b.body, b.out, b.sections[i]);
+    if (b.done.fetch_add(1, std::memory_order_acq_rel) + 1 == b.count) b.done.notify_all();
   }
+}
+
+/// Walk section headers from body[pos] into `b` until it is full or the
+/// sections account for all `raw_bytes`. A malformed header stops the walk
+/// and is returned: it is the error of the section it starts.
+std::exception_ptr walk_sections(std::span<const std::byte> body, std::uint64_t raw_bytes,
+                                 std::uint64_t& pos, std::uint64_t& filled, Batch& b) noexcept {
+  try {
+    while (filled < raw_bytes && b.count < kBatchSections) {
+      Section& s = b.sections[b.count];
+      s.head = pos;
+      s.raw_len = get_varint(body, pos);
+      if (pos >= body.size()) throw CodecError("codec frame: truncated section header");
+      s.encoding = static_cast<std::uint8_t>(body[pos++]);
+      const std::uint64_t enc_len = get_varint(body, pos);
+      if (!wire::checked_add(pos, enc_len, s.enc_end) || s.enc_end > body.size()) {
+        throw CodecError("codec frame: section overruns body");
+      }
+      std::uint64_t next_filled;
+      if (!wire::checked_add(filled, s.raw_len, next_filled) || next_filled > raw_bytes) {
+        throw CodecError("codec frame: sections exceed declared decoded size");
+      }
+      s.enc_begin = pos;
+      s.out = filled;
+      pos = s.enc_end;
+      filled = next_filled;
+      ++b.count;
+    }
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+/// Decode every section of `batch` on the calling thread plus up to
+/// count - 1 pooled helpers, and return once all of them are done.
+void decode_batch(const std::shared_ptr<Batch>& batch, ThreadPool* helpers,
+                  const std::shared_ptr<Crew>& crew) {
+  if (helpers != nullptr && batch->count > 1) {
+    {
+      std::lock_guard lock(crew->mutex);
+      crew->batch = batch;
+    }
+    // Helpers still queued from an earlier batch will join this one.
+    const std::size_t want = std::min(helpers->size(), batch->count - 1);
+    for (std::size_t q = crew->queued.load(std::memory_order_relaxed); q < want; ++q) {
+      crew->queued.fetch_add(1, std::memory_order_relaxed);
+      const bool posted = helpers->post([crew] {
+        crew->queued.fetch_sub(1, std::memory_order_relaxed);
+        std::shared_ptr<Batch> b;
+        {
+          std::lock_guard lock(crew->mutex);
+          b = crew->batch;
+        }
+        run_claims(*b);
+      });
+      if (!posted) {  // pool shutting down: the caller decodes alone
+        crew->queued.fetch_sub(1, std::memory_order_relaxed);
+        break;
+      }
+    }
+  }
+  run_claims(*batch);
+  // Wait (parked) for sections a helper claimed and is still decoding.
+  for (std::size_t d = batch->done.load(std::memory_order_acquire); d != batch->count;
+       d = batch->done.load(std::memory_order_acquire)) {
+    batch->done.wait(d, std::memory_order_acquire);
+  }
+}
+
+}  // namespace
+
+DataBuffer decode_block(std::span<const std::byte> bytes, std::uint64_t cap, ThreadPool* helpers) {
+  const FrameHeader h = parse_header(bytes, cap);
+  const auto body = bytes.subspan(kCodecHeaderBytes, h.body_bytes);
+  // Not zero-filled: the walk below stops only with filled == raw_bytes
+  // and no error, and each section decoder writes all raw_len bytes it
+  // claims or fails.
+  DataBuffer out = DataBuffer::for_overwrite(h.raw_bytes);
+  const auto crew = helpers != nullptr ? std::make_shared<Crew>() : nullptr;
+  std::uint64_t pos = 0;
+  std::uint64_t filled = 0;
+  std::uint32_t body_crc = 0;  // CRC-32 of the empty prefix
+  std::uint32_t raw_crc = 0;
+  std::exception_ptr error;
+  while (error == nullptr && filled < h.raw_bytes) {
+    const auto batch = std::make_shared<Batch>();
+    batch->body = body;
+    batch->out = out.data();
+    const std::exception_ptr walk_error = walk_sections(body, h.raw_bytes, pos, filled, *batch);
+    decode_batch(batch, helpers, crew);
+    // Fold in section order; the first failed section is the one a serial
+    // decode would have reported, ahead of a later malformed header. Every
+    // error is taken out of the batch here, so the exceptions end on this
+    // thread even when a late helper drops the batch's last reference.
+    for (std::size_t i = 0; i < batch->count; ++i) {
+      Section& s = batch->sections[i];
+      std::exception_ptr section_error = std::exchange(s.error, nullptr);
+      if (error != nullptr) continue;
+      error = std::move(section_error);
+      body_crc = common::crc32_combine(body_crc, s.body_crc, s.enc_end - s.head);
+      raw_crc = common::crc32_combine(raw_crc, s.raw_crc, s.raw_len);
+    }
+    if (error == nullptr) error = walk_error;
+  }
+  if (error == nullptr && pos != body.size()) {
+    error = std::make_exception_ptr(CodecError("codec frame: trailing bytes after last section"));
+  }
+  // Report what a serial decode would: a corrupt body before anything the
+  // damage made the section parser trip over.
+  if (error != nullptr) {
+    if (common::crc32(body) != h.body_crc) {
+      throw CodecError("codec frame: body CRC mismatch (corrupt frame)");
+    }
+    std::rethrow_exception(error);
+  }
+  if (body_crc != h.body_crc) throw CodecError("codec frame: body CRC mismatch (corrupt frame)");
+  if (raw_crc != h.raw_crc) throw CodecError("codec frame: decoded payload CRC mismatch");
   return out;
 }
 

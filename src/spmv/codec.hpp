@@ -21,7 +21,11 @@
 //
 // The body is a sequence of sections, each `varint raw_len | u8 encoding |
 // varint enc_len | enc_len bytes`, concatenating to exactly raw_bytes on
-// decode. Section encodings:
+// decode. The encoder writes each section with at most kMaxSectionRaw
+// (1 MiB) raw bytes, cutting a long array into pieces; every piece restarts
+// its delta at 0, so each decodes on its own and the sections of one frame
+// decode concurrently. Frames with longer sections (written before the cut)
+// decode too. Section encodings:
 //   0 raw        verbatim bytes
 //   1 delta-u64  monotone u64 array (row_ptr/chunk_ptr): first value then
 //                LEB128 varint gaps
@@ -29,6 +33,11 @@
 //                differences, zigzag-mapped, LEB128 varint
 //   3 shuffle-rle f64 array: bytes transposed into per-byte-plane lanes,
 //                then run-length encoded (exponent/sign planes repeat)
+//
+// decode_block walks the section headers in bounded batches, decodes the
+// sections of a batch on the caller and any pooled helpers (each claims
+// the next undecoded section), computes both CRCs per section and folds
+// them in order with crc32_combine.
 //
 // Decoding is hostile-input hardened in the same spirit as
 // CsrView/SellView::from_bytes: every count is validated against the real
@@ -45,11 +54,18 @@
 #include "common/buffer.hpp"
 #include "common/error.hpp"
 
+namespace dooc {
+class ThreadPool;
+}
+
 namespace dooc::spmv::codec {
 
 constexpr std::uint64_t kCodecMagic = 0x44434F44'424C4B31ull;  // "DCODBLK1"
 constexpr std::uint64_t kCodecHeaderWords = 6;
 constexpr std::uint64_t kCodecHeaderBytes = kCodecHeaderWords * 8;
+/// Most raw bytes encode_block puts in one section. A multiple of every
+/// element size (8 and 4), so no u64/u32/f64 straddles two pieces.
+constexpr std::uint64_t kMaxSectionRaw = 1ull << 20;
 
 /// A codec frame that cannot be decoded: truncated varint stream, body or
 /// raw CRC mismatch, ratio-bomb header (declared raw size above the
@@ -78,9 +94,12 @@ struct CodecConfig {
   /// Storage read path: attempt O_DIRECT block reads (graceful fallback to
   /// buffered pread when the filesystem or alignment refuses).
   bool direct_io = false;
-  /// Storage read path: double-buffered read-ahead depth — enqueue_read of
-  /// block k also stages up to this many following blocks, so decode of
-  /// block k overlaps the read of block k+1. 0 = off.
+  /// Storage read path: read-ahead depth — a read of block k of an array
+  /// also prefetches up to this many following blocks of the same array.
+  /// It stages blocks only within one array (a one-block array, such as a
+  /// deployed sub-matrix, gets none), and a fetcher thread reads and then
+  /// decodes each block, so with io_workers = 1 the read of block k+1
+  /// waits for the decode of block k instead of overlapping it. 0 = off.
   int read_ahead = 0;
 
   [[nodiscard]] bool enabled() const noexcept { return mode != Mode::Off; }
@@ -146,7 +165,13 @@ struct EncodeStats {
 
 /// Decode a codec frame into a fresh buffer of exactly decoded_bytes(...,
 /// cap) bytes. Throws CodecError on any malformation (see class docs).
-[[nodiscard]] DataBuffer decode_block(std::span<const std::byte> bytes, std::uint64_t cap);
+/// With `helpers`, sections also decode on up to (sections - 1) of its
+/// workers while the caller decodes too; without, the same code runs wholly
+/// on the caller. Output and errors are identical either way: a corrupt
+/// body first, then the first bad section in order, then trailing bytes,
+/// then the decoded-payload CRC.
+[[nodiscard]] DataBuffer decode_block(std::span<const std::byte> bytes, std::uint64_t cap,
+                                      ThreadPool* helpers = nullptr);
 
 /// Decode if encoded, pass through otherwise — the transparent-interop
 /// helper every consumer of possibly-compressed bytes calls.

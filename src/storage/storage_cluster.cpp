@@ -42,7 +42,11 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base,
   for (auto& n : nodes_) n->set_peers(peers);
 }
 
-StorageCluster::~StorageCluster() = default;
+StorageCluster::~StorageCluster() {
+  // A node's fetchers call into its peers: stop every node's threads
+  // before destroying any node.
+  for (auto& n : nodes_) n->shutdown();
+}
 
 void StorageCluster::set_tenant(TenantId tenant, double weight, int priority) {
   for (auto& n : nodes_) n->set_tenant(tenant, weight, priority);

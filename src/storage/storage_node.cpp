@@ -27,6 +27,11 @@ constexpr std::uint64_t kFetchSrcHomeDisk = 0;  ///< durable file via home (loca
 constexpr std::uint64_t kFetchSrcReplica = 1;   ///< a peer's in-memory copy
 constexpr std::uint64_t kFetchSrcFailover = 2;  ///< durable file read around a dead home
 constexpr std::uint64_t kFetchSrcAwait = 3;     ///< parked on the producer
+
+std::unique_ptr<ThreadPool> make_decode_helpers(const spmv::codec::CodecConfig& codec) {
+  if (!codec.enabled()) return nullptr;
+  return std::make_unique<ThreadPool>(std::max(std::thread::hardware_concurrency(), 2u) - 1);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -104,6 +109,7 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
                                        : ReplicationConfig::from_env()),
       io_(config_.io_workers, config_.throttle_read_bw, node_id, config_.fault_plan,
           codec_.direct_io),
+      decode_helpers_(make_decode_helpers(codec_)),
       fetchers_(static_cast<std::size_t>(config_.io_workers)),
       rng_(config_.seed ^ (0x9e37u * static_cast<std::uint64_t>(node_id + 1))),
       lookup_rng_state_(config_.seed + static_cast<std::uint64_t>(node_id) * 7919),
@@ -136,7 +142,14 @@ StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* 
   fair_.set_config(fair_cfg);
 }
 
-StorageNode::~StorageNode() = default;
+StorageNode::~StorageNode() { shutdown(); }
+
+void StorageNode::shutdown() {
+  // Fetcher jobs touch blocks_, mutex_, fair_, completions_ and the decode
+  // helpers: join them while every member is still alive.
+  fetchers_.shutdown();
+  if (decode_helpers_) decode_helpers_->shutdown();
+}
 
 std::string StorageNode::file_path_for(const ArrayName& name) const {
   return scratch_dir_ + "/" + name;
@@ -739,8 +752,9 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
     }
     catalog_->shard_for(key.array).await_block(key, [this, meta, block](const BlockKey&) {
       // Fires on the sealing thread (outside every lock); bounce back onto
-      // a fetcher thread to retry the whole decision.
-      fetchers_.submit([this, meta, block] { retry_fetch(meta, block); });
+      // a fetcher thread to retry the whole decision. After shutdown() the
+      // retry is dropped: the node is going away.
+      fetchers_.post([this, meta, block] { retry_fetch(meta, block); });
     });
   } catch (...) {
     fail_block(block, std::current_exception());
@@ -766,7 +780,7 @@ DataBuffer StorageNode::decode_payload(const BlockPtr& block, DataBuffer data) {
         .arg("bytes", block->bytes);
   }
   const std::uint64_t t0 = obs::TraceClock::now_ns();
-  DataBuffer raw = spmv::codec::decode_block(data.span(), block->bytes);
+  DataBuffer raw = spmv::codec::decode_block(data.span(), block->bytes, decode_helpers_.get());
   const std::uint64_t elapsed = obs::TraceClock::now_ns() - t0;
   m_decoded_->add();
   decode_latency_us_->add(static_cast<double>(elapsed) * 1e-3);

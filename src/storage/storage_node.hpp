@@ -210,6 +210,12 @@ class StorageNode {
   StorageNode(const StorageNode&) = delete;
   StorageNode& operator=(const StorageNode&) = delete;
 
+  /// Join the fetcher threads, then the decode helpers. Queued fetches
+  /// still run; producer callbacks that fire afterwards are dropped.
+  /// Idempotent; the destructor calls it, and StorageCluster calls it on
+  /// every node before destroying any, since fetchers call into peers.
+  void shutdown();
+
   /// Wire peers (done once by StorageCluster before use). peers[i] is the
   /// storage node of virtual node i; peers[id()] == this.
   void set_peers(std::vector<StorageNode*> peers) { peers_ = std::move(peers); }
@@ -358,13 +364,14 @@ class StorageNode {
   /// (a durable block already at its replica cap).
   void install_payload(const ArrayMeta& meta, const BlockPtr& block, DataBuffer data,
                        bool durable, bool hot = false, bool bypass = false);
-  /// Decode a codec frame into the block's raw bytes. Fetcher thread only —
-  /// decompression never runs on compute workers. Pass-through when `data`
+  /// Decode a codec frame into the block's raw bytes on the fetcher thread
+  /// plus the node's decode helpers — decompression never runs on compute
+  /// workers. Pass-through when `data`
   /// is not a frame. Throws CodecError (an IoError) on a corrupt frame, so
   /// the fetch retry/failover machinery treats it like any other bad read.
   DataBuffer decode_payload(const BlockPtr& block, DataBuffer data);
-  /// Stage up to codec().read_ahead blocks following `block` so the decode
-  /// of block k overlaps the read of block k+1. Never called with mutex_.
+  /// Prefetch up to codec().read_ahead blocks following `block` in the same
+  /// array. Never called with mutex_.
   void issue_read_ahead(const ArrayMeta& meta, std::uint64_t block, TenantId tenant);
   /// Fail every waiter on the block and forget it.
   void fail_block(const BlockPtr& block, std::exception_ptr error);
@@ -392,6 +399,11 @@ class StorageNode {
   ReplicationConfig replication_;
   std::vector<StorageNode*> peers_;
   IoWorkerPool io_;
+  /// Helpers that decode codec frames next to the fetcher thread:
+  /// hardware_concurrency() - 1 threads (at least 1), parked between
+  /// frames; null when the codec is off. Declared before fetchers_ so it
+  /// outlives them.
+  std::unique_ptr<ThreadPool> decode_helpers_;
   ThreadPool fetchers_;
 
   std::mutex mutex_;

@@ -5,7 +5,14 @@
 //  * round trip: every codec x format pair decodes bitwise-identically, on
 //    generated and edge-case matrices; non-matrix payloads travel raw;
 //  * CRC-32: the carry-less-multiply and slice-by-8 kernels agree with
-//    each other and with the standard check values;
+//    each other and with the standard check values; crc32_combine joins
+//    the CRCs of any split of a buffer;
+//  * pooled decode: a frame decoded on helper threads yields the same bytes
+//    and the same CodecError as one decoded inline (every hostile frame
+//    below is decoded both ways), errors keep a serial decode's
+//    precedence, one-section frames written before sections were cut at
+//    1 MiB still decode, and a body of millions of empty sections is
+//    rejected without a section directory the size of the body;
 //  * hostile input: truncated frames, ratio-bomb headers (capped before any
 //    allocation), CRC mismatches and malformed section streams all surface
 //    as typed CodecError — including hand-forged frames whose CRCs are
@@ -22,14 +29,21 @@
 //    as the real engine — the cross-backend parity the ablation relies on.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/causal.hpp"
 #include "obs/trace.hpp"
@@ -44,6 +58,35 @@
 #include "storage/buffer_pool.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
+
+// Largest single operator-new request while g_track_allocations is set:
+// lets a test bound the memory a decode allocates. The scalar forms are
+// replaced together (malloc/free underneath), so sanitizer runtimes see
+// matching pairs; the array and aligned forms keep their defaults.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace dooc {
 namespace {
@@ -273,9 +316,102 @@ TEST(CodecCrc32, ClmulMatchesTableOnAMultiMiBBuffer) {
   EXPECT_EQ(common::crc32(buf), common::detail::crc32_table(buf));
 }
 
+using CrcKernel = std::uint32_t (*)(std::span<const std::byte>) noexcept;
+
+/// The table kernel, plus the carry-less one when this CPU has it.
+std::vector<CrcKernel> crc_kernels() {
+  std::vector<CrcKernel> kernels = {&common::detail::crc32_table};
+  if (common::detail::crc32_clmul_supported()) kernels.push_back(&common::detail::crc32_clmul);
+  return kernels;
+}
+
+TEST(CodecCrc32, CombineMatchesEverySplitOfShortInputsOnBothKernels) {
+  const std::vector<std::byte> buf = random_bytes(1024, 0xC0B);
+  for (const CrcKernel crc : crc_kernels()) {
+    std::vector<std::uint32_t> prefix(buf.size() + 1);
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) prefix[cut] = crc({buf.data(), cut});
+    int mismatches = 0;
+    for (std::size_t len = 0; len <= buf.size(); ++len) {
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        const std::uint32_t tail = crc({buf.data() + cut, len - cut});
+        if (common::crc32_combine(prefix[cut], tail, len - cut) != prefix[len]) {
+          ADD_FAILURE() << "length " << len << " cut " << cut;
+          if (++mismatches == 10) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(CodecCrc32, CombineFoldsRandomSplitsOfAMultiMiBBuffer) {
+  const std::vector<std::byte> buf = random_bytes((5u << 20) + 13, 0x5B1);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t whole = common::detail::crc32_table(all);
+  SplitMix64 rng(0xC0B1);
+  for (const CrcKernel crc : crc_kernels()) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t cut = rng.next_below(buf.size() + 1);
+      EXPECT_EQ(common::crc32_combine(crc(all.first(cut)), crc(all.subspan(cut)),
+                                      buf.size() - cut),
+                whole)
+          << "cut " << cut;
+    }
+    // Many pieces, from a few bytes to over a MiB, folded in order.
+    for (int trial = 0; trial < 4; ++trial) {
+      std::uint32_t folded = crc({});
+      for (std::size_t at = 0; at < buf.size();) {
+        const std::size_t len =
+            std::min<std::size_t>(buf.size() - at, rng.next_below(trial % 2 ? 64 : 3u << 19));
+        folded = common::crc32_combine(folded, crc(all.subspan(at, len)), len);
+        at += len;
+      }
+      EXPECT_EQ(folded, whole) << "trial " << trial;
+    }
+  }
+}
+
+TEST(CodecCrc32, CombineWithAnEmptyPieceKeepsTheOtherCrc) {
+  const std::vector<std::byte> buf = random_bytes(300, 0xE0);
+  const std::uint32_t empty = common::crc32({});
+  for (const std::uint32_t a : {0u, 0xFFFFFFFFu, 0xCBF43926u, common::crc32(buf)}) {
+    EXPECT_EQ(common::crc32_combine(a, empty, 0), a);
+  }
+  EXPECT_EQ(common::crc32_combine(empty, common::crc32(buf), buf.size()), common::crc32(buf));
+}
+
 // ---------------------------------------------------------------------------
 // Hostile input
 // ---------------------------------------------------------------------------
+
+ThreadPool& decode_helpers() {
+  static ThreadPool pool(3);
+  return pool;
+}
+
+/// Decode `frame` inline and again with pooled helpers. Both must yield the
+/// same bytes or the same CodecError message. Returns the bytes or rethrows
+/// the error, so callers assert on a single outcome.
+DataBuffer decode_checked(std::span<const std::byte> frame, std::uint64_t cap) {
+  const auto attempt =
+      [&](ThreadPool* helpers) -> std::pair<std::optional<DataBuffer>, std::string> {
+    try {
+      return {spmv::codec::decode_block(frame, cap, helpers), ""};
+    } catch (const CodecError& e) {
+      return {std::nullopt, e.what()};
+    }
+  };
+  auto [inline_out, inline_error] = attempt(nullptr);
+  const auto [pooled_out, pooled_error] = attempt(&decode_helpers());
+  EXPECT_EQ(pooled_error, inline_error) << "pooled and inline decode disagree";
+  if (inline_out && pooled_out) {
+    EXPECT_TRUE(inline_out->size() == pooled_out->size() &&
+                (inline_out->size() == 0 ||
+                 std::memcmp(inline_out->data(), pooled_out->data(), inline_out->size()) == 0))
+        << "pooled and inline decode produced different bytes";
+  }
+  if (!inline_out) throw CodecError(inline_error);
+  return std::move(*inline_out);
+}
 
 std::vector<std::byte> valid_frame(std::vector<std::byte>* raw_out = nullptr) {
   const auto m = spmv::generate_power_law(256, 256, 8.0, 1.5, 99);
@@ -314,15 +450,15 @@ TEST(CodecHostile, TruncatedFramesThrow) {
                    {frame.data(), spmv::codec::kCodecHeaderBytes - 1}, cap),
                CodecError);
   // Body cut short of what the header declares.
-  EXPECT_THROW((void)spmv::codec::decode_block({frame.data(), frame.size() - 1}, cap), CodecError);
-  EXPECT_THROW((void)spmv::codec::decode_block({frame.data(), frame.size() / 2}, cap), CodecError);
+  EXPECT_THROW((void)decode_checked({frame.data(), frame.size() - 1}, cap), CodecError);
+  EXPECT_THROW((void)decode_checked({frame.data(), frame.size() / 2}, cap), CodecError);
 }
 
 TEST(CodecHostile, RatioBombHeaderIsCappedBeforeAllocation) {
   std::vector<std::byte> frame = valid_frame();
   put_u64(frame, 16, 1ull << 60);  // claim an exabyte decodes out of this
   try {
-    (void)spmv::codec::decode_block(frame, 64ull << 20);
+    (void)decode_checked(frame, 64ull << 20);
     FAIL() << "a declared size past the cap must throw";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds cap"), std::string::npos) << e.what();
@@ -334,7 +470,7 @@ TEST(CodecHostile, BodyCorruptionFailsTheCrc) {
   std::vector<std::byte> frame = valid_frame(&raw);
   frame[spmv::codec::kCodecHeaderBytes + frame.size() / 2] ^= std::byte{0x40};
   try {
-    (void)spmv::codec::decode_block(frame, raw.size());
+    (void)decode_checked(frame, raw.size());
     FAIL() << "a flipped body byte must fail the body CRC";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos) << e.what();
@@ -345,7 +481,7 @@ TEST(CodecHostile, ForeignEndianAndBadMagicRejected) {
   const std::uint64_t cap = 1ull << 30;
   std::vector<std::byte> frame = valid_frame();
   put_u64(frame, 8, 0x0807060504030201ull);
-  EXPECT_THROW((void)spmv::codec::decode_block(frame, cap), CodecError);
+  EXPECT_THROW((void)decode_checked(frame, cap), CodecError);
   put_u64(frame, 8, spmv::kEndianProbe);
   put_u64(frame, 0, 0x1111111111111111ull);
   EXPECT_THROW((void)spmv::codec::decoded_bytes(frame, cap), CodecError);
@@ -356,26 +492,26 @@ TEST(CodecHostile, ForgedSectionStreamsThrowTyped) {
   // with a CodecError, never crash or over-read.
   // 1. Overlong varint: eleven continuation bytes can't encode a u64.
   std::vector<std::byte> overlong(11, std::byte{0x80});
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(overlong, 64), 64), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(overlong, 64), 64), CodecError);
   // 2. Varint cut off by the end of the body.
   std::vector<std::byte> cut = {std::byte{0x80}};
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(cut, 64), 64), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(cut, 64), 64), CodecError);
   // 3. raw_len varint present but the section header ends the body.
   std::vector<std::byte> headless = {std::byte{0x10}};
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(headless, 64), 64), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(headless, 64), 64), CodecError);
   // 4. Raw section whose enc_len overruns the body.
   std::vector<std::byte> overrun = {std::byte{0x08}, std::byte{0x00}, std::byte{0x7F}};
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(overrun, 64), 64), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(overrun, 64), 64), CodecError);
   // 5. Unknown section encoding.
   std::vector<std::byte> unknown = {std::byte{0x08}, std::byte{0x09}, std::byte{0x08},
                                     std::byte{0},    std::byte{0},    std::byte{0},
                                     std::byte{0},    std::byte{0},    std::byte{0},
                                     std::byte{0},    std::byte{0}};
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(unknown, 8), 8), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(unknown, 8), 8), CodecError);
   // 6. Sections that exceed the declared decoded size.
   std::vector<std::byte> oversize = {std::byte{0x20}, std::byte{0x00}, std::byte{0x20}};
   oversize.resize(3 + 0x20, std::byte{0});
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(oversize, 8), 8), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(oversize, 8), 8), CodecError);
 }
 
 TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
@@ -391,7 +527,7 @@ TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
   body.insert(body.end(), 8, std::byte{0xFF});
   body.push_back(std::byte{0x01});
   try {
-    (void)spmv::codec::decode_block(forge_frame(body, 8), 8);
+    (void)decode_checked(forge_frame(body, 8), 8);
     FAIL() << "an out-of-range reconstructed u32 must throw";
   } catch (const CodecError& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
@@ -404,7 +540,7 @@ TEST(CodecHostile, HugeZigzagDeltaIsRejectedWithoutOverflow) {
                                      std::byte{0xFF}};
   negative.insert(negative.end(), 8, std::byte{0xFF});
   negative.push_back(std::byte{0x01});
-  EXPECT_THROW((void)spmv::codec::decode_block(forge_frame(negative, 4), 4), CodecError);
+  EXPECT_THROW((void)decode_checked(forge_frame(negative, 4), 4), CodecError);
 }
 
 TEST(CodecEstimate, HostileRowPtrValuesDoNotOverflowTheWidthHistogram) {
@@ -474,7 +610,7 @@ std::vector<std::byte> forge_valid_frame(const std::vector<std::byte>& body,
 
 std::string decode_error(const std::vector<std::byte>& frame, std::uint64_t cap) {
   try {
-    (void)spmv::codec::decode_block(frame, cap);
+    (void)decode_checked(frame, cap);
   } catch (const CodecError& e) {
     return e.what();
   }
@@ -540,7 +676,7 @@ TEST(CodecHostile, LongVarintsMidStreamRoundTrip) {
   body.insert(body.end(), second.begin(), second.end());
   raw.insert(raw.end(), raw32.begin(), raw32.end());
 
-  const DataBuffer out = spmv::codec::decode_block(forge_valid_frame(body, raw), raw.size());
+  const DataBuffer out = decode_checked(forge_valid_frame(body, raw), raw.size());
   ASSERT_EQ(out.size(), raw.size());
   EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
 }
@@ -607,7 +743,7 @@ TEST(CodecHostile, RandomU32GapsOfEveryWidthRoundTrip) {
   }
   for (int w = 1; w <= 5; ++w) EXPECT_GT(widths[w], 0u) << "no " << w << "-byte varint";
   const std::vector<std::byte> body = section(raw.size(), kZigzagU32, enc);
-  const DataBuffer out = spmv::codec::decode_block(forge_valid_frame(body, raw), raw.size());
+  const DataBuffer out = decode_checked(forge_valid_frame(body, raw), raw.size());
   ASSERT_EQ(out.size(), raw.size());
   EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
 }
@@ -639,7 +775,7 @@ TEST(CodecHostile, SeededByteFlipsThrowOrDecodeTheOriginal) {
       put_u64(bad, 40, crc_word);
     }
     try {
-      const DataBuffer out = spmv::codec::decode_block(bad, raw.size());
+      const DataBuffer out = decode_checked(bad, raw.size());
       ASSERT_EQ(out.size(), raw.size()) << "iteration " << iter;
       ASSERT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0) << "iteration " << iter;
     } catch (const CodecError&) {
@@ -647,6 +783,182 @@ TEST(CodecHostile, SeededByteFlipsThrowOrDecodeTheOriginal) {
     }
   }
   EXPECT_GT(threw, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled decode
+// ---------------------------------------------------------------------------
+
+constexpr std::byte kRaw{0};
+
+std::uint64_t read_varint(std::span<const std::byte> in, std::size_t& pos) {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto b = static_cast<std::uint8_t>(in[pos++]);
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
+
+/// raw_len of every section of a well-formed frame, in order.
+std::vector<std::uint64_t> section_raw_lengths(std::span<const std::byte> frame) {
+  const auto body = frame.subspan(spmv::codec::kCodecHeaderBytes);
+  std::vector<std::uint64_t> out;
+  for (std::size_t pos = 0; pos < body.size();) {
+    out.push_back(read_varint(body, pos));
+    ++pos;  // encoding
+    pos += read_varint(body, pos);
+  }
+  return out;
+}
+
+TEST(CodecPooledDecode, MultiMiBFramesAreCutAtOneMiBAndMatchInlineBitwise) {
+  const auto m = spmv::generate_power_law(1 << 15, 1 << 15, 7.0, 1.5, 0x9001);
+  for (const bool sell : {false, true}) {
+    const std::vector<std::byte> raw = serialize(m, sell);
+    for (const bool shuffle : {true, false}) {
+      CodecConfig cfg{Mode::On};
+      cfg.shuffle_values = shuffle;
+      const auto frame = spmv::codec::encode_block(raw, cfg);
+      ASSERT_TRUE(frame.has_value());
+      const std::string what = std::string(sell ? "sell" : "csr") + (shuffle ? "+shuffle" : "");
+      const std::vector<std::uint64_t> lengths = section_raw_lengths(frame->span());
+      EXPECT_GT(lengths.size(), raw.size() / spmv::codec::kMaxSectionRaw) << what;
+      for (const std::uint64_t len : lengths) {
+        EXPECT_LE(len, spmv::codec::kMaxSectionRaw) << what;
+      }
+      const DataBuffer out = decode_checked(frame->span(), raw.size());
+      ASSERT_EQ(out.size(), raw.size()) << what;
+      EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0) << what;
+    }
+  }
+}
+
+TEST(CodecPooledDecode, OneSectionFramesWrittenBeforeTheCutStillDecode) {
+  // Frames used to carry each array as a single section: here a 3 MiB
+  // zigzag-u32 section and a 2.5 MiB raw section.
+  SplitMix64 rng(0x01D);
+  std::vector<std::byte> raw;
+  std::vector<std::byte> zz;
+  std::int64_t prev = 0;
+  for (std::size_t i = 0; i < (3u << 20) / 4; ++i) {
+    const auto v = static_cast<std::uint32_t>(rng.next_below(1u << 20));
+    put_varint(zz, zigzag(static_cast<std::int64_t>(v) - prev));
+    prev = v;
+    raw.resize(raw.size() + 4);
+    std::memcpy(raw.data() + raw.size() - 4, &v, 4);
+  }
+  const std::vector<std::byte> values = random_bytes(5u << 19, 0xFA1);
+  raw.insert(raw.end(), values.begin(), values.end());
+  std::vector<std::byte> body = section((3u << 20), kZigzagU32, zz);
+  const std::vector<std::byte> second = section(values.size(), kRaw, values);
+  body.insert(body.end(), second.begin(), second.end());
+  const DataBuffer out = decode_checked(forge_valid_frame(body, raw), raw.size());
+  ASSERT_EQ(out.size(), raw.size());
+  EXPECT_EQ(std::memcmp(out.data(), raw.data(), raw.size()), 0);
+}
+
+/// A zigzag-u32 section of `n` small values, optionally ending in one
+/// below zero (zigzag(-1) after a zero prefix: "out of range").
+std::vector<std::byte> zigzag_section(std::size_t n, bool bad_last, std::vector<std::byte>* raw) {
+  std::vector<std::byte> enc(n, std::byte{0});
+  if (bad_last) enc.back() = std::byte{0x01};
+  if (raw != nullptr) raw->resize(raw->size() + n * 4, std::byte{0});
+  return section(n * 4, kZigzagU32, enc);
+}
+
+std::vector<std::byte> concat(std::initializer_list<std::vector<std::byte>> parts) {
+  std::vector<std::byte> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+std::string message(const std::vector<std::byte>& frame, std::uint64_t cap) {
+  try {
+    (void)decode_checked(frame, cap);
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(CodecPooledDecode, ErrorPrecedenceMatchesASerialDecode) {
+  std::vector<std::byte> raw;
+  const auto good_big = zigzag_section(1 << 18, false, &raw);  // slow: decoded last
+  const auto bad_slow = zigzag_section(1 << 17, true, &raw);
+  const std::vector<std::byte> unknown = section(8, std::byte{9}, std::vector<std::byte>(8));
+  raw.resize(raw.size() + 8);
+  const std::uint64_t n = raw.size();
+
+  // The first bad section in order wins, though a later one fails sooner.
+  const std::vector<std::byte> two_bad = concat({good_big, bad_slow, unknown});
+  EXPECT_NE(message(forge_frame(two_bad, n), n).find("out of range"), std::string::npos);
+
+  // A corrupt body outranks every section error.
+  std::vector<std::byte> corrupt = forge_frame(two_bad, n);
+  corrupt[40] ^= std::byte{1};
+  EXPECT_NE(message(corrupt, n).find("body CRC mismatch"), std::string::npos);
+
+  // A bad section outranks a malformed header after it.
+  // raw_len 8, raw, enc_len 2^28 - 1: runs past the end of any body here.
+  const std::vector<std::byte> overrun = {std::byte{0x08}, std::byte{0x00}, std::byte{0xFF},
+                                          std::byte{0xFF}, std::byte{0xFF}, std::byte{0x7F}};
+  std::vector<std::byte> extra = {std::byte{0}, std::byte{0}, std::byte{0}, std::byte{0}};
+  const auto long_section = section(3 * 4, kZigzagU32, extra);  // 4 varints for 3 values
+  EXPECT_NE(message(forge_frame(concat({good_big, long_section, overrun}), 64u << 20), 64u << 20)
+                .find("section length mismatch"),
+            std::string::npos);
+
+  // Trailing bytes outrank the decoded-payload CRC (forge_frame leaves it
+  // wrong); with no trailing bytes that CRC is what fails.
+  std::vector<std::byte> good_raw;
+  const auto good = concat({zigzag_section(1 << 18, false, &good_raw),
+                            zigzag_section(100, false, &good_raw)});
+  std::vector<std::byte> trailing = good;
+  trailing.push_back(std::byte{0});
+  EXPECT_NE(message(forge_frame(trailing, good_raw.size()), good_raw.size()).find("trailing"),
+            std::string::npos);
+  EXPECT_NE(message(forge_frame(good, good_raw.size()), good_raw.size())
+                .find("decoded payload CRC mismatch"),
+            std::string::npos);
+  EXPECT_EQ(message(forge_valid_frame(good, good_raw), good_raw.size()), "no error");
+
+  // Past the first batch of sections: the 70th of 100 is bad, the header
+  // after the 90th overruns the body.
+  std::vector<std::vector<std::byte>> many;
+  std::vector<std::byte> many_raw;
+  for (int i = 0; i < 100; ++i) many.push_back(zigzag_section(16, i == 69, &many_raw));
+  std::vector<std::byte> many_body;
+  for (int i = 0; i < 100; ++i) {
+    if (i == 90) many_body.insert(many_body.end(), overrun.begin(), overrun.end());
+    many_body.insert(many_body.end(), many[i].begin(), many[i].end());
+  }
+  EXPECT_NE(message(forge_frame(many_body, many_raw.size()), many_raw.size()).find("out of range"),
+            std::string::npos);
+  many[69] = zigzag_section(16, false, nullptr);
+  many_body.clear();
+  for (int i = 0; i < 100; ++i) {
+    if (i == 90) many_body.insert(many_body.end(), overrun.begin(), overrun.end());
+    many_body.insert(many_body.end(), many[i].begin(), many[i].end());
+  }
+  EXPECT_NE(message(forge_frame(many_body, many_raw.size()), many_raw.size()).find("overruns"),
+            std::string::npos);
+}
+
+TEST(CodecPooledDecode, MillionsOfEmptySectionsAreRejectedInBoundedMemory) {
+  // Two million 3-byte sections (raw_len 0, raw, enc_len 0) never fill the
+  // declared 8 bytes: the walk runs off the end of the body. The section
+  // directory is walked in bounded batches, so no allocation comes near
+  // the body's size, inline or pooled.
+  const std::vector<std::byte> body(3u << 21, std::byte{0});
+  const std::vector<std::byte> frame = forge_frame(body, 8);
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  const std::string err = message(frame, 8);
+  g_track_allocations = false;
+  EXPECT_NE(err.find("truncated varint"), std::string::npos) << err;
+  EXPECT_LT(g_largest_allocation.load(), body.size() / 64)
+      << "decode allocated " << g_largest_allocation.load() << " bytes at once";
 }
 
 // ---------------------------------------------------------------------------

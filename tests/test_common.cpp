@@ -144,6 +144,18 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+TEST(ThreadPool, ShutdownRunsQueuedJobsThenRefusesPosts) {
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) EXPECT_TRUE(pool.post([&] { ++ran; }));
+  pool.shutdown();
+  EXPECT_EQ(ran.load(), 16) << "jobs queued before shutdown() must still run";
+  EXPECT_FALSE(pool.post([&] { ++ran; }));
+  EXPECT_THROW((void)pool.submit([] {}), std::exception);
+  pool.shutdown();  // idempotent
+  EXPECT_EQ(ran.load(), 16);
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);

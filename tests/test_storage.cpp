@@ -290,6 +290,26 @@ TEST(Storage, CrossNodeReadWaitsForRemoteProducer) {
   EXPECT_EQ(rf.get().as<std::uint64_t>()[0], 4242u);
 }
 
+TEST(Storage, ProducerSealingAfterAConsumerShutdownDoesNotThrow) {
+  // Node 1's fetch parks on the producer; node 1 then shuts down (as a
+  // cluster teardown does, node by node). The producer's seal fires node
+  // 1's await callback, which must drop the retry quietly instead of
+  // throwing out of the producer's release().
+  testutil::TempDir dir("await-shutdown");
+  StorageCluster cluster(2, base_config(dir));
+  auto& n0 = cluster.node(0);
+  auto& n1 = cluster.node(1);
+  n0.create_array("late", 32, 32);
+  auto rf = n1.request_read({"late", 0, 32});
+  n1.shutdown();  // runs the queued fetch, which parks on the producer
+  EXPECT_EQ(rf.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
+
+  auto w = n0.request_write({"late", 0, 32}).get();
+  w.as<std::uint64_t>()[0] = 7;
+  EXPECT_NO_THROW(w.release());
+  EXPECT_EQ(n0.request_read({"late", 0, 32}).get().as<std::uint64_t>()[0], 7u);
+}
+
 TEST(Storage, LocalReadWaitsForLocalProducer) {
   testutil::TempDir dir("await_local");
   StorageCluster cluster(1, base_config(dir));
