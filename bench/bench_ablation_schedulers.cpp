@@ -47,8 +47,7 @@ void global_policy_ablation() {
                                 .string();
     storage::StorageConfig cfg;
     cfg.scratch_root = dir;
-    df::TransportStats transport(3);
-    storage::StorageCluster cluster(3, cfg, &transport);
+    storage::StorageCluster cluster(3, cfg);
 
     auto m = spmv::generate_uniform_gap(4 * 1024, 4 * 1024, 3.0, 0x61);
     const auto owner = spmv::column_strip_owner(3);

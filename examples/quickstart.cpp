@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   storage::StorageConfig cfg;
   cfg.scratch_root = scratch;
   cfg.memory_budget = budget;
-  df::TransportStats transport(nodes);
-  storage::StorageCluster cluster(nodes, cfg, &transport);
+  storage::StorageCluster cluster(nodes, cfg);
   std::printf("cluster up: %d nodes, %s memory budget each, scratch at %s\n", nodes,
               format_bytes(static_cast<double>(budget)).c_str(), scratch.c_str());
 

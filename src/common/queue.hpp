@@ -1,6 +1,5 @@
-// Blocking MPMC queue — the mailbox primitive underneath streams and the
-// in-process transport. Supports bounded capacity (credit-based flow
-// control on streams) and cooperative shutdown via close().
+// Blocking MPMC queue — the job queue of ThreadPool and the I/O worker
+// pool. Supports bounded capacity and cooperative shutdown via close().
 #pragma once
 
 #include <condition_variable>
@@ -51,16 +50,6 @@ class BlockingQueue {
     return item;
   }
 
-  /// Dequeue without blocking.
-  std::optional<T> try_pop() {
-    std::lock_guard lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// After close(), pushes fail and pops drain the remaining items then
   /// return nullopt. Idempotent.
   void close() {
@@ -70,27 +59,8 @@ class BlockingQueue {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return items_.size();
-  }
-
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
-  /// Instantaneous fullness hint (racy by nature): true when a push would
-  /// currently block. Used to route slow-path instrumentation.
-  [[nodiscard]] bool full() const {
-    std::lock_guard lock(mutex_);
-    return items_.size() >= capacity_;
-  }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;

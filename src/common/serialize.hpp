@@ -1,7 +1,5 @@
-// Little binary serialization layer used by the dataflow transport and the
-// on-disk CSR format. Values are written in native (little-endian) layout;
-// the on-disk format header records endianness so readers can refuse
-// foreign files rather than silently misread them.
+// Little binary serialization layer used by the net wire protocol and the
+// telemetry frames. Values are written in native (little-endian) layout.
 #pragma once
 
 #include <cstdint>

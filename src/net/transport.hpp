@@ -1,12 +1,11 @@
 // The dooc::net Transport abstraction: framed message passing between
-// cluster peers, extracted from the in-process deep-copy mailbox discipline
-// (dataflow/transport.hpp) so a byte-oriented wire backend drops in behind
-// the same contract.
+// cluster peers, with two backends behind one contract: a byte-oriented
+// socket wire and an in-process deep-copy mailbox.
 //
 // Contract (both backends):
 //  * A payload handed to send() is never aliased by the receiver — the
 //    socket backend serializes it onto the wire, the in-process backend
-//    deep-copies it (exactly the old cross_boundary rule).
+//    deep-copies it.
 //  * send() applies backpressure: when a peer's outbound queue is over
 //    budget the call blocks until the queue drains, the peer dies, or the
 //    configured timeout expires (TransportError).

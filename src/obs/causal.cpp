@@ -92,8 +92,6 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
       if (it != ev.args.end()) n.task = static_cast<std::int64_t>(it->second);
     } else if (ev.cat == "sched" && ev.name == "wait-inputs") {
       n.kind = NodeKind::Wait;
-    } else if (ev.cat == "stream" && ev.name == "credit-stall") {
-      n.kind = NodeKind::Stall;
     } else {
       // Everything else ("inputs-pending" bookkeeping, raw storage/io
       // spans, ...) is descriptive, not causal: load flows already carry
@@ -213,8 +211,8 @@ CausalGraph CausalGraph::build(const std::vector<ParsedEvent>& events) {
 
   // ---- program order --------------------------------------------------------
   // A worker lane runs one span at a time: chain consecutive non-Load
-  // nodes per (pid, tid). Nested spans (a credit stall inside a task) fail
-  // the end<=start check inside add_edge and are simply not chained.
+  // nodes per (pid, tid). Nested spans fail the end<=start check inside
+  // add_edge and are simply not chained.
   std::map<std::pair<int, int>, std::vector<std::size_t>> lanes;
   for (std::size_t idx = 0; idx < g.nodes_.size(); ++idx) {
     if (g.nodes_[idx].kind == NodeKind::Load) continue;
@@ -291,9 +289,7 @@ std::vector<PathSegment> CausalGraph::critical_path() const {
       if (sh > 0.0) path.push_back({cur, kBlamePrefetchIo, sh});
       if (demand > 0.0) path.push_back({cur, kBlameDemandIo, demand});
     } else if (n.dur_us() > 0.0) {
-      const char* cat = n.kind == NodeKind::Compute   ? kBlameCompute
-                        : n.kind == NodeKind::Wait    ? kBlameDemandIo
-                                                      : kBlameStreamStall;
+      const char* cat = n.kind == NodeKind::Compute ? kBlameCompute : kBlameDemandIo;
       path.push_back({cur, cat, n.dur_us()});
     }
     std::size_t best = kNoNode;
@@ -323,7 +319,6 @@ double CausalGraph::what_if(std::string_view category, double factor) const {
   const auto matches = [&](NodeKind k) {
     if (category == "io") return k == NodeKind::Load || k == NodeKind::Wait;
     if (category == "compute") return k == NodeKind::Compute;
-    if (category == "stream") return k == NodeKind::Stall;
     return false;
   };
   std::vector<std::size_t> order(nodes_.size());

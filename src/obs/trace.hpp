@@ -1,7 +1,7 @@
 // dooc::obs trace layer (half 1 of the observability subsystem).
 //
-// Timestamped events (task begin/end, block load/evict/hit/miss, stream
-// credit stalls, prefetch issue/complete, simulated virtual-time events)
+// Timestamped events (task begin/end, block load/evict/hit/miss, block
+// fetches, prefetch issue/complete, simulated virtual-time events)
 // flow through lock-free per-thread rings into a process-wide TraceSession
 // which exports Chrome trace-event JSON — loadable in chrome://tracing or
 // https://ui.perfetto.dev. Virtual nodes map to Chrome pids, worker

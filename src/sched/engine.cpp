@@ -26,6 +26,7 @@ storage::StorageStats delta(const storage::StorageStats& after, const storage::S
   d.disk_write_bytes = after.disk_write_bytes - before.disk_write_bytes;
   d.remote_fetches = after.remote_fetches - before.remote_fetches;
   d.remote_fetch_bytes = after.remote_fetch_bytes - before.remote_fetch_bytes;
+  d.remote_store_bytes = after.remote_store_bytes - before.remote_store_bytes;
   d.evictions = after.evictions - before.evictions;
   d.evicted_bytes = after.evicted_bytes - before.evicted_bytes;
   d.lookup_hops = after.lookup_hops - before.lookup_hops;
@@ -119,7 +120,6 @@ struct Engine::JobRun {
   std::unique_ptr<ExecutorCore> core;
   Stopwatch clock;                       ///< started at submit
   storage::StorageStats stats_before;
-  std::uint64_t cross_before = 0;
   FaultSummary faults;                   ///< fault_mutex_
   /// Readers still to finish per transient array (TaskGraph transient id):
   /// at zero the array's blocks are dropped; producer re-runs re-arm them.
@@ -292,8 +292,6 @@ std::uint32_t Engine::submit(TaskGraph& graph, SubmitOptions options) {
   jr->graph = &graph;
   jr->readers_left = graph.transient_readers();
   jr->stats_before = cluster_.total_stats();
-  jr->cross_before =
-      cluster_.transport() != nullptr ? cluster_.transport()->cross_node_bytes() : 0;
 
   GlobalScheduler global(cluster_.num_nodes(), config_.global_policy);
   CatalogLocator locator(&cluster_.catalog());
@@ -994,9 +992,7 @@ void Engine::retire_job(const JobPtr& jr) {
   }
   report.assignment = jr->assignment;
   report.storage = delta(cluster_.total_stats(), jr->stats_before);
-  report.cross_node_bytes =
-      (cluster_.transport() != nullptr ? cluster_.transport()->cross_node_bytes() : 0) -
-      jr->cross_before;
+  report.cross_node_bytes = report.storage.remote_fetch_bytes + report.storage.remote_store_bytes;
   {
     std::lock_guard flock(fault_mutex_);
     report.faults = jr->faults;

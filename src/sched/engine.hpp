@@ -132,7 +132,7 @@ struct Report {
   /// Cluster-wide stats delta over the job. Exact for a lone job; when
   /// jobs overlap in time the deltas overlap too (shared cluster).
   storage::StorageStats storage;
-  std::uint64_t cross_node_bytes = 0; ///< transport delta over the job
+  std::uint64_t cross_node_bytes = 0; ///< bytes fetched from or stored to a peer
   FaultSummary faults;                ///< empty/ok unless a FaultPlan was active
 
   [[nodiscard]] double gflops() const {

@@ -615,6 +615,11 @@ struct Section {
 /// however many sections a (hostile) body declares.
 constexpr std::size_t kBatchSections = 64;
 
+/// Raw bytes a batch must hold per helper it wakes: a byte-light batch
+/// (many tiny or empty sections) decodes faster inline than the wake-ups
+/// cost, while a real frame (≈16 sections of 1 MiB) keeps every helper.
+constexpr std::uint64_t kMinHelperBytes = 256 << 10;
+
 /// Up to kBatchSections sections that the caller and its helpers decode
 /// together, claiming them by index.
 struct Batch {
@@ -715,16 +720,23 @@ std::exception_ptr walk_sections(std::span<const std::byte> body, std::uint64_t 
 }
 
 /// Decode every section of `batch` on the calling thread plus up to
-/// count - 1 pooled helpers, and return once all of them are done.
+/// count - 1 pooled helpers (one per kMinHelperBytes of raw bytes), and
+/// return once all of them are done.
 void decode_batch(const std::shared_ptr<Batch>& batch, ThreadPool* helpers,
                   const std::shared_ptr<Crew>& crew) {
+  std::size_t want = 0;
   if (helpers != nullptr && batch->count > 1) {
+    const Section& last = batch->sections[batch->count - 1];
+    const std::uint64_t raw_bytes = last.out + last.raw_len - batch->sections[0].out;
+    want = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {helpers->size(), batch->count - 1, raw_bytes / kMinHelperBytes}));
+  }
+  if (want > 0) {
     {
       std::lock_guard lock(crew->mutex);
       crew->batch = batch;
     }
     // Helpers still queued from an earlier batch will join this one.
-    const std::size_t want = std::min(helpers->size(), batch->count - 1);
     for (std::size_t q = crew->queued.load(std::memory_order_relaxed); q < want; ++q) {
       crew->queued.fetch_add(1, std::memory_order_relaxed);
       const bool posted = helpers->post([crew] {

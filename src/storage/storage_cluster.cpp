@@ -5,9 +5,7 @@
 
 namespace dooc::storage {
 
-StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base,
-                               df::TransportStats* transport)
-    : transport_(transport) {
+StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base) {
   DOOC_REQUIRE(num_nodes > 0, "storage cluster needs at least one node");
   shards_.reserve(static_cast<std::size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) shards_.push_back(std::make_unique<CatalogShard>());
@@ -34,7 +32,7 @@ StorageCluster::StorageCluster(int num_nodes, const StorageConfig& base,
     cfg.fault_plan = fault_plan_;
     cfg.codec = codec_;
     cfg.replication = replication_;
-    nodes_.push_back(std::make_unique<StorageNode>(i, cfg, catalog_.get(), transport));
+    nodes_.push_back(std::make_unique<StorageNode>(i, cfg, catalog_.get()));
   }
   std::vector<StorageNode*> peers;
   peers.reserve(nodes_.size());
@@ -66,6 +64,7 @@ StorageStats StorageCluster::total_stats() {
     total.disk_write_bytes += s.disk_write_bytes;
     total.remote_fetches += s.remote_fetches;
     total.remote_fetch_bytes += s.remote_fetch_bytes;
+    total.remote_store_bytes += s.remote_store_bytes;
     total.evictions += s.evictions;
     total.evicted_bytes += s.evicted_bytes;
     total.lookup_hops += s.lookup_hops;

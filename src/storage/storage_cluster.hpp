@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "dataflow/transport.hpp"
 #include "storage/storage_node.hpp"
 
 namespace dooc::storage {
@@ -15,7 +14,7 @@ class StorageCluster {
  public:
   /// `base` is cloned per node (each gets its own scratch subdirectory and
   /// a derived RNG seed).
-  StorageCluster(int num_nodes, const StorageConfig& base, df::TransportStats* transport = nullptr);
+  StorageCluster(int num_nodes, const StorageConfig& base);
   ~StorageCluster();
 
   StorageCluster(const StorageCluster&) = delete;
@@ -24,7 +23,6 @@ class StorageCluster {
   [[nodiscard]] int num_nodes() const noexcept { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] StorageNode& node(int id) { return *nodes_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] DistributedCatalog& catalog() noexcept { return *catalog_; }
-  [[nodiscard]] df::TransportStats* transport() noexcept { return transport_; }
   /// The cluster's shared fault-injection plan: the one from the base
   /// config, else DOOC_FAULTS, else null (faults off). With a plan present
   /// the engine runs its fault-recovery policy instead of aborting on the
@@ -61,7 +59,6 @@ class StorageCluster {
   std::shared_ptr<fault::FaultPlan> fault_plan_;
   spmv::codec::CodecConfig codec_;
   ReplicationConfig replication_;
-  df::TransportStats* transport_ = nullptr;
 };
 
 }  // namespace dooc::storage

@@ -23,10 +23,11 @@ constexpr std::uint64_t kScanDecodeCap = 1ull << 40;
 
 /// Values of the block_fetch span's "src" arg (docs/TRACE_SCHEMA.md):
 /// where the fetch was ultimately served from.
-constexpr std::uint64_t kFetchSrcHomeDisk = 0;  ///< durable file via home (local or RPC)
-constexpr std::uint64_t kFetchSrcReplica = 1;   ///< a peer's in-memory copy
-constexpr std::uint64_t kFetchSrcFailover = 2;  ///< durable file read around a dead home
-constexpr std::uint64_t kFetchSrcAwait = 3;     ///< parked on the producer
+constexpr std::uint64_t kFetchSrcHomeDisk = 0;    ///< durable file via home (local or RPC)
+constexpr std::uint64_t kFetchSrcPeerMemory = 1;  ///< a peer's in-memory copy, replication off
+constexpr std::uint64_t kFetchSrcFailover = 2;    ///< durable file read around a dead home
+constexpr std::uint64_t kFetchSrcAwait = 3;       ///< parked on the producer
+constexpr std::uint64_t kFetchSrcReplica = 4;     ///< a peer's in-memory copy, replication on
 
 std::unique_ptr<ThreadPool> make_decode_helpers(const spmv::codec::CodecConfig& codec) {
   if (!codec.enabled()) return nullptr;
@@ -98,12 +99,10 @@ std::span<std::byte> WriteHandle::bytes() {
 // StorageNode
 // ---------------------------------------------------------------------------
 
-StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog,
-                         df::TransportStats* transport)
+StorageNode::StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog)
     : id_(node_id),
       config_(std::move(config)),
       catalog_(catalog),
-      transport_(transport),
       codec_(config_.codec ? *config_.codec : spmv::codec::CodecConfig::from_env()),
       replication_(config_.replication ? *config_.replication
                                        : ReplicationConfig::from_env()),
@@ -674,7 +673,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
       if (plan != nullptr && plan->node_down(holder)) continue;  // unreachable
       StorageNode* peer = peers_[static_cast<std::size_t>(holder)];
       std::uint64_t got = 0;
-      DataBuffer data = peer->fetch_block(key, id_, &got);
+      DataBuffer data = peer->fetch_block(key, &got);
       if (got != 0) {
         {
           std::lock_guard lock(stats_mutex_);
@@ -683,7 +682,9 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
           if (replication_.enabled) ++stats_.replica_hits;
         }
         if (replication_.enabled) m_replica_hit_->add();
-        if (span) span->arg("src", kFetchSrcReplica);
+        if (span) {
+          span->arg("src", replication_.enabled ? kFetchSrcReplica : kFetchSrcPeerMemory);
+        }
         install_payload(meta, block, std::move(data), info.durable, hot, bypass);
         return;
       }
@@ -725,7 +726,7 @@ void StorageNode::fetch_job(const ArrayMeta& meta, const BlockPtr& block) {
         if (span) span->arg("src", kFetchSrcHomeDisk);
         StorageNode* home = peers_[static_cast<std::size_t>(meta.home_node)];
         std::uint64_t got = 0;
-        DataBuffer data = home->fetch_block(key, id_, &got);
+        DataBuffer data = home->fetch_block(key, &got);
         if (got == 0) throw IoError("home node could not produce block of '" + key.array + "'");
         {
           std::lock_guard lock(stats_mutex_);
@@ -871,7 +872,7 @@ void StorageNode::fail_block(const BlockPtr& block, std::exception_ptr error) {
       << "fetch of block " << block->key.block << " of '" << block->key.array << "' failed";
 }
 
-DataBuffer StorageNode::fetch_block(const BlockKey& key, int requester, std::uint64_t* bytes_out) {
+DataBuffer StorageNode::fetch_block(const BlockKey& key, std::uint64_t* bytes_out) {
   *bytes_out = 0;
   // A node inside an outage window is unreachable: it answers every peer
   // RPC with "don't have it", and requesters fail over to other holders or
@@ -904,9 +905,6 @@ DataBuffer StorageNode::fetch_block(const BlockKey& key, int requester, std::uin
         size = want;
       }
     }
-  }
-  if (size != 0 && transport_ != nullptr && requester != id_) {
-    transport_->record(id_, requester, size);
   }
   *bytes_out = size;
   return copy;
@@ -1048,7 +1046,10 @@ void StorageNode::flush_array(const ArrayName& name) {
     } else {
       StorageNode* home = peers_[static_cast<std::size_t>(meta.home_node)];
       DataBuffer wire = block->data.clone();
-      if (transport_ != nullptr) transport_->record(id_, meta.home_node, wire.size());
+      {
+        std::lock_guard lock(stats_mutex_);
+        stats_.remote_store_bytes += wire.size();
+      }
       home->store_block_at_home(meta, block->key.block, std::move(wire));
     }
   }

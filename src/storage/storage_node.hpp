@@ -42,7 +42,6 @@
 #include "common/buffer.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "dataflow/transport.hpp"
 #include "obs/metrics.hpp"
 #include "storage/catalog.hpp"
 #include "storage/completion_queue.hpp"
@@ -203,8 +202,7 @@ using StorageCompletionQueue = CompletionQueue<Completion>;
 
 class StorageNode {
  public:
-  StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog,
-              df::TransportStats* transport);
+  StorageNode(int node_id, StorageConfig config, DistributedCatalog* catalog);
   ~StorageNode();
 
   StorageNode(const StorageNode&) = delete;
@@ -305,7 +303,7 @@ class StorageNode {
   /// Return a copy of a sealed block: from memory if resident, streamed
   /// straight from disk (without caching) if this is the home node and the
   /// block is durable. *bytes_out = 0 signals "don't have it".
-  DataBuffer fetch_block(const BlockKey& key, int requester, std::uint64_t* bytes_out);
+  DataBuffer fetch_block(const BlockKey& key, std::uint64_t* bytes_out);
   /// Drop any local state for the array (used by delete_array).
   void drop_array_local(const ArrayName& name);
   /// Outcome of forget_block_local: the block was not here, was dropped, or
@@ -392,7 +390,6 @@ class StorageNode {
   StorageConfig config_;
   std::string scratch_dir_;
   DistributedCatalog* catalog_;
-  df::TransportStats* transport_;
   /// Resolved before io_ so the pool can honour codec_.direct_io.
   spmv::codec::CodecConfig codec_;
   /// Resolved hot-block replication policy (see types.hpp).

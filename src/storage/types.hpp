@@ -147,6 +147,7 @@ struct StorageStats {
   std::uint64_t disk_write_bytes = 0;
   std::uint64_t remote_fetches = 0;    ///< blocks fetched from a peer node
   std::uint64_t remote_fetch_bytes = 0;
+  std::uint64_t remote_store_bytes = 0;  ///< flushed blocks pushed to a peer home
   std::uint64_t evictions = 0;
   std::uint64_t evicted_bytes = 0;
   std::uint64_t lookup_hops = 0;       ///< peer queries issued to locate data

@@ -127,7 +127,7 @@ TEST(CausalGraph, WhatIfRetimesTheDag) {
   // Twice-as-fast compute: 100 + 25 + 20.
   EXPECT_DOUBLE_EQ(g.what_if("compute", 0.5), 145.0);
   // Factor 1 on anything reproduces the DAG's own span (sans slack).
-  EXPECT_DOUBLE_EQ(g.what_if("stream", 1.0), 190.0);
+  EXPECT_DOUBLE_EQ(g.what_if("compute", 1.0), 190.0);
   // Monotonicity guarantee: factor <= 1 never exceeds the measured makespan.
   EXPECT_LE(g.what_if("io", 0.0), g.makespan_us());
 }

@@ -5,6 +5,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "storage/storage_cluster.hpp"
 #include "test_util.hpp"
 
@@ -235,8 +236,7 @@ TEST(Storage, FlushMakesBlocksDurableAndEvictable) {
 
 TEST(Storage, RemoteFetchFromPeerMemory) {
   testutil::TempDir dir("remote");
-  df::TransportStats transport(2);
-  StorageCluster cluster(2, base_config(dir), &transport);
+  StorageCluster cluster(2, base_config(dir));
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -247,10 +247,72 @@ TEST(Storage, RemoteFetchFromPeerMemory) {
 
   auto r = n1.request_read({"shared", 0, 64}).get();
   EXPECT_DOUBLE_EQ(r.as<double>()[0], 2.5);
-  EXPECT_GE(n1.stats().remote_fetches, 1u);
-  EXPECT_GE(transport.cross_node_bytes(), 64u);
+  EXPECT_EQ(n1.stats().remote_fetches, 1u);
+  EXPECT_EQ(cluster.total_stats().remote_fetch_bytes, 64u);
+  EXPECT_EQ(cluster.total_stats().remote_store_bytes, 0u);
   // The copy is now resident on node 1 too.
   EXPECT_TRUE(n1.is_resident({"shared", 0, 64}));
+}
+
+/// The "src" args of the block_fetch spans a two-node peer-memory read
+/// emits. The cluster is torn down before the trace stops, so the fetcher's
+/// span has closed.
+std::vector<std::uint64_t> traced_peer_fetch_srcs(bool replication) {
+  testutil::TempDir dir(replication ? "src_replica" : "src_peer");
+  StorageConfig cfg = base_config(dir);
+  cfg.replication = ReplicationConfig{};
+  cfg.replication->enabled = replication;
+  obs::TraceSession::instance().start();
+  {
+    StorageCluster cluster(2, cfg);
+    cluster.node(0).create_array("shared", 64, 64);
+    auto w = cluster.node(0).request_write({"shared", 0, 64}).get();
+    w.release();
+    auto r = cluster.node(1).request_read({"shared", 0, 64}).get();
+    r.release();
+  }
+  const std::vector<obs::Event> events = obs::TraceSession::instance().stop();
+  const std::uint32_t fetch = obs::intern("block_fetch");
+  const std::uint32_t src = obs::intern("src");
+  std::vector<std::uint64_t> srcs;
+  for (const obs::Event& ev : events) {
+    if (ev.name != fetch) continue;
+    for (std::uint8_t i = 0; i < ev.nargs; ++i) {
+      if (ev.arg_name[i] == src) srcs.push_back(ev.arg_val[i]);
+    }
+  }
+  return srcs;
+}
+
+TEST(Storage, PeerMemoryFetchSourceDependsOnReplication) {
+  // 1 = peer-memory, 4 = replica (docs/TRACE_SCHEMA.md, block_fetch).
+  EXPECT_EQ(traced_peer_fetch_srcs(false), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(traced_peer_fetch_srcs(true), std::vector<std::uint64_t>{4});
+}
+
+TEST(Storage, FlushToPeerHomeCountsRemoteStoreBytes) {
+  testutil::TempDir dir("remote_store");
+  StorageCluster cluster(2, base_config(dir));
+  auto& n0 = cluster.node(0);
+  auto& n1 = cluster.node(1);
+
+  // Home is node 0; node 1 produces the block and pushes it home on flush.
+  n0.create_array("pushed", 64, 64);
+  auto w = n1.request_write({"pushed", 0, 64}).get();
+  w.as<double>()[0] = 4.5;
+  w.release();
+  const StorageStats before = cluster.total_stats();
+  n1.flush_array("pushed");
+  const StorageStats after = cluster.total_stats();
+  EXPECT_EQ(after.remote_store_bytes - before.remote_store_bytes, 64u);
+  EXPECT_EQ(after.remote_fetch_bytes, before.remote_fetch_bytes);
+
+  // A flush at the home node itself crosses no node boundary.
+  n0.create_array("local", 64, 64);
+  auto w0 = n0.request_write({"local", 0, 64}).get();
+  w0.release();
+  n0.flush_array("local");
+  EXPECT_EQ(cluster.total_stats().remote_store_bytes, 64u);
 }
 
 TEST(Storage, RemoteReadOfDurableArrayStreamsFromHomeDisk) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <string>
 
 #include "common/options.hpp"
@@ -167,21 +168,23 @@ void report_one(const std::string& path, const std::vector<obs::ParsedEvent>& ev
 
   // Block-fetch source breakdown (hot-block replication triage). The
   // storage layer tags each cat "storage" name "block_fetch" span with a
-  // "src" arg — 0 home-disk, 1 replica, 2 failover, 3 await (see
-  // docs/TRACE_SCHEMA.md). A healthy replicated run shows its hot reads
+  // "src" arg — 0 home-disk, 1 peer-memory, 2 failover, 3 await, 4 replica
+  // (see docs/TRACE_SCHEMA.md). A healthy replicated run shows its hot reads
   // under "replica"; a run stuck on "home-disk" never crossed the
   // DOOC_REPLICATION hot threshold.
   {
-    static constexpr const char* kSrcNames[] = {"home-disk", "replica", "failover", "await"};
-    std::uint64_t counts[4] = {0, 0, 0, 0};
-    double us[4] = {0.0, 0.0, 0.0, 0.0};
+    static constexpr const char* kSrcNames[] = {"home-disk", "peer-memory", "failover", "await",
+                                                "replica"};
+    constexpr std::size_t kNumSrcs = std::size(kSrcNames);
+    std::uint64_t counts[kNumSrcs] = {};
+    double us[kNumSrcs] = {};
     std::uint64_t total = 0;
     for (const obs::ParsedEvent& ev : events) {
       if (ev.phase != 'X' || ev.cat != "storage" || ev.name != "block_fetch") continue;
       const auto it = ev.args.find("src");
       if (it == ev.args.end()) continue;
       const auto src = static_cast<std::size_t>(it->second);
-      if (src >= 4) continue;
+      if (src >= kNumSrcs) continue;
       ++counts[src];
       us[src] += ev.dur_us;
       ++total;
@@ -189,9 +192,9 @@ void report_one(const std::string& path, const std::vector<obs::ParsedEvent>& ev
     if (total > 0) {
       std::printf("\nblock-fetch sources (%llu tagged fetches):\n",
                   static_cast<unsigned long long>(total));
-      for (std::size_t i = 0; i < 4; ++i) {
+      for (std::size_t i = 0; i < kNumSrcs; ++i) {
         if (counts[i] == 0) continue;
-        std::printf("  %-10s %8llu fetches %12.3f ms (%.1f%%)\n", kSrcNames[i],
+        std::printf("  %-11s %8llu fetches %12.3f ms (%.1f%%)\n", kSrcNames[i],
                     static_cast<unsigned long long>(counts[i]), us[i] * 1e-3,
                     100.0 * static_cast<double>(counts[i]) / static_cast<double>(total));
       }
